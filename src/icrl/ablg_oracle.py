@@ -6,6 +6,10 @@ Terms abelianize to joins of meets of integer exponent vectors; a meet block
 abelian l-group validity for these homogeneous inequations, and integer
 points suffice for refutations (scale a rational solution).
 
+The distribution into join-of-meets form is `lg_oracle.distribute`, the same
+algorithm the l-group oracle runs over free-group words, here run over
+exponent vectors (abelianization is a group homomorphism).
+
 Infeasibility is decided by exact Fourier-Motzkin elimination (integer rows,
 gcd-normalized).  As an independent cross-check, `gordan_infeasible` searches
 for a Gordan certificate (a non-zero non-negative combination of the rows
@@ -34,7 +38,6 @@ from .terms import (
     Term,
     Var,
     product_term,
-    sequent_variables,
     subst_f_to_e,
     variables,
 )
@@ -83,60 +86,17 @@ def _lf_neg(a: LinearForm) -> LinearForm:
     return LinearForm(tuple((v, -c) for v, c in a.coeffs))
 
 
-def _ab_size(j) -> int:
-    return sum(len(block) for block in j)
-
-
-def _ab_capped(j, cap: int):
-    if _ab_size(j) > cap:
-        raise lg_oracle.GnfSizeError(f"normal form exceeded the word cap ({cap})")
-    return j
-
-
-def _ab_invert(a, cap: int):
-    out = {frozenset()}
-    for m in a:
-        inverted = sorted({_lf_neg(f) for f in m})
-        out = lg_oracle._absorb({blk | {f} for blk in out for f in inverted})
-        _ab_capped(out, cap)
-    return frozenset(out)
-
-
-def _ab_jom(t: Term, cap: int):
-    """Join-of-meets of exponent vectors, distributing in the abelian image.
-
-    Same result as the word-level normal form followed by collapse, but the
-    vectors merge during distribution, which keeps intermediate sizes down.
-    """
-    if isinstance(t, Var):
-        return frozenset({frozenset({LinearForm.from_dict({t.name: 1})})})
-    if isinstance(t, ConstE):
-        return frozenset({frozenset({LinearForm(())})})
-    if isinstance(t, ConstF):
-        raise ValueError("pointed term: replace f by e before abelianizing")
-    absorb = lg_oracle._absorb
-    if isinstance(t, Meet):
-        a, b = _ab_jom(t.l, cap), _ab_jom(t.r, cap)
-        return _ab_capped(absorb(frozenset(m | n for m in a for n in b)), cap)
-    if isinstance(t, Join):
-        return _ab_capped(absorb(_ab_jom(t.l, cap) | _ab_jom(t.r, cap)), cap)
-    if isinstance(t, (Fuse, LDiv, RDiv)):
-        a, b = _ab_jom(t.l, cap), _ab_jom(t.r, cap)
-        if isinstance(t, LDiv):
-            a = _ab_invert(a, cap)
-        elif isinstance(t, RDiv):
-            b = _ab_invert(b, cap)
-        out = set()
-        for m in a:
-            for n in b:
-                out.add(frozenset(_lf_add(w, v) for w in m for v in n))
-        return _ab_capped(absorb(frozenset(out)), cap)
-    raise TypeError(f"not a term: {t!r}")
+def _lf_gen(name: str) -> LinearForm:
+    return LinearForm(((name, 1),))
 
 
 def abelianize(t: Term, cap: int = lg_oracle.DEFAULT_WORD_CAP) -> tuple[tuple[LinearForm, ...], ...]:
-    """Join-of-meets of exponent vectors: the group normal form, collapsed."""
-    blocks = _ab_jom(t, cap)
+    """Join-of-meets of exponent vectors: the group normal form, collapsed.
+
+    Distributes in the abelian image directly, so the vectors merge during
+    distribution, which keeps intermediate sizes down.
+    """
+    blocks = lg_oracle.distribute(t, _lf_gen, LinearForm(()), _lf_add, _lf_neg, cap)
     return tuple(sorted(tuple(sorted(b, key=lambda f: f.coeffs)) for b in blocks))
 
 
@@ -276,8 +236,9 @@ def ablg_valid_leq_e(t: Term, cap: int = lg_oracle.DEFAULT_WORD_CAP) -> bool:
     return True
 
 
-def ablg_valid_sequent(s: Sequent, cap: int = lg_oracle.DEFAULT_WORD_CAP) -> bool:
-    """Sequent validity over abelian l-groups, both sequent shapes.
+def _sequent_goal(s: Sequent) -> Term:
+    """The term t with t <= e valid over abelian l-groups iff s is, both
+    sequent shapes.
 
     f is identified with e first (abelian l-groups are the pointed algebras
     with f = e), which collapses the right-side sum into a product; the empty
@@ -285,8 +246,12 @@ def ablg_valid_sequent(s: Sequent, cap: int = lg_oracle.DEFAULT_WORD_CAP) -> boo
     """
     left = product_term(subst_f_to_e(t) for t in s.left)
     right = product_term(subst_f_to_e(t) for t in s.right)
-    goal = Fuse(left, LDiv(right, ConstE()))
-    return ablg_valid_leq_e(goal, cap)
+    return Fuse(left, LDiv(right, ConstE()))
+
+
+def ablg_valid_sequent(s: Sequent, cap: int = lg_oracle.DEFAULT_WORD_CAP) -> bool:
+    """Sequent validity over abelian l-groups, both sequent shapes."""
+    return ablg_valid_leq_e(_sequent_goal(s), cap)
 
 
 # --- integer min/max/+ evaluation ----------------------------------------------
@@ -318,16 +283,7 @@ def find_integer_refutation(s: Sequent, bound: int = 3) -> dict[str, int] | None
     Sound for both oracles (Z is an abelian l-group, and every abelian
     l-group is an l-group); finding nothing proves nothing.
     """
-    names = sorted(sequent_variables(s))
-    left = [subst_f_to_e(t) for t in s.left]
-    right = [subst_f_to_e(t) for t in s.right]
-    for point in itertools.product(range(-bound, bound + 1), repeat=len(names)):
-        val = dict(zip(names, point))
-        lv = sum(eval_int(t, val) for t in left)
-        rv = sum(eval_int(t, val) for t in right)
-        if lv > rv:
-            return val
-    return None
+    return find_integer_refutation_leq_e(_sequent_goal(s), bound)
 
 
 def find_integer_refutation_leq_e(t: Term, bound: int = 3) -> dict[str, int] | None:

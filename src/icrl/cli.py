@@ -1,20 +1,19 @@
 """Command-line front end.
 
 Exit codes: 0 = affirmative (derivable / valid / countermodel found /
-all suites agree), 1 = negative, 2 = usage or limit error.
+all suites agree), 1 = negative, 2 = usage, limit or internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import ablg_oracle, corpus, finmod, lg_oracle, prover
-from .cutelim import CutEliminationError, eliminate_cuts
-from .lg_oracle import GnfSizeError
+from .cutelim import eliminate_cuts
 from .terms import (
-    ParseError,
     Sequent,
     Theory,
     parse_leq,
@@ -299,11 +298,16 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return ERROR if e.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except (ParseError, GnfSizeError, CutEliminationError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`icrl ... | head`): nothing left to report,
+        # and the buffered rest must not fail again at interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return ERROR
-    except OSError as e:
+    except Exception as e:
+        # a crash (even RecursionError on deep nesting) must not read as NEGATIVE
         print(f"error: {e}", file=sys.stderr)
         return ERROR
 

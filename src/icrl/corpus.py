@@ -132,22 +132,12 @@ def run_suite(spec: dict) -> SuiteReport:
     rng = random.Random(seed)
     report = SuiteReport(name=name, kind=kind, seed=seed, count=count)
 
-    corrupt = spec.get("fault_injection")
-
-    def lg_leq_e(t):
-        ans = lg_oracle.lg_valid_leq_e(t)
-        if corrupt == "flip_lg":
-            # deliberate self-test fault: misreport on a slice of inputs
-            if print_term(t).count("x") % 2 == 1:
-                return not ans
-        return ans
-
     if kind in ("glivenko-lg", "glivenko-ablg"):
         for i in range(count):
             t = gen_term(rng, num_vars=num_vars, depth=depth)
             goal = Sequent((t,), (E,))
             if kind == "glivenko-lg":
-                oracle_says = lg_leq_e(t)
+                oracle_says = lg_oracle.lg_valid_leq_e(t)
                 prover_says = search(goal, Theory.ICRL).derivable
             else:
                 oracle_says = ablg_oracle.ablg_valid_sequent(goal)
@@ -279,15 +269,9 @@ def gen_proof_with_cuts(rng: random.Random, num_vars: int = 2, depth: int = 2):
             if donor is None:
                 break
             proof = make_cut(donor, proof, pos)
-        if any(n.rule == "cut" for n in _walk(proof)):
+        if any(n.rule == "cut" for n in proof.walk()):
             return proof, th
     return None, th
-
-
-def _walk(proof):
-    yield proof
-    for p in proof.premises:
-        yield from _walk(p)
 
 
 def _derivable_premise_for(rng: random.Random, t: Term, th: Theory):
@@ -302,7 +286,7 @@ def _derivable_premise_for(rng: random.Random, t: Term, th: Theory):
     ]
     if th.oracle is not None:
         x = Var("x")
-        candidates.insert(0, Sequent((LDiv(x, x), t) if th.has_fuse else (LDiv(x, x), t), (t,)))
+        candidates.insert(0, Sequent((LDiv(x, x), t), (t,)))
     rng.shuffle(candidates)
     for c in candidates:
         out = search(c, th)

@@ -47,6 +47,8 @@ from .prover import (
     Certificate,
     Proof,
     _exchange_chain,
+    _remove_one,
+    _without,
     analyze_node,
     check_proof_detailed,
     oracle_valid,
@@ -60,10 +62,6 @@ class CutEliminationError(RuntimeError):
 
 def _ins(seq: tuple, i: int, block: tuple) -> tuple:
     return seq[:i] + block + seq[i:]
-
-
-def _without(seq: tuple, i: int) -> tuple:
-    return seq[:i] + seq[i + 1 :]
 
 
 def _requery(theory: Theory, s: Sequent) -> Certificate:
@@ -604,11 +602,6 @@ def _count(seq):
 
 
 # canonical multiple-conclusion rebuilds (order fixed afterwards by _patch)
-
-
-def _remove_one(seq: tuple, t) -> tuple:
-    i = seq.index(t)
-    return _without(seq, i)
 
 
 def _rb_one_left(rule: str, t, subs: tuple, p: Proof) -> Proof:

@@ -548,6 +548,28 @@ def _fill_fuse(n, leq, meet, join, jis, decomp, bottom, e):
     yield from assign(0, {})
 
 
+def _greatest(leq, sols):
+    """The greatest element of sols under leq, or None if there is none."""
+    best = [b for b in sols if all(leq[b2][b] for b2 in sols)]
+    return best[0] if len(best) == 1 else None
+
+
+def _residuals(n, leq, fuse):
+    """Residual tables ldiv[a][c] = max{b : a*b <= c} and
+    rdiv[c][a] = max{b : b*a <= c}, or None when some maximum is missing."""
+    ldiv = [[0] * n for _ in range(n)]
+    rdiv = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for c in range(n):
+            ldiv[a][c] = _greatest(leq, [b for b in range(n) if leq[fuse[a][b]][c]])
+            if ldiv[a][c] is None:
+                return None
+            rdiv[c][a] = _greatest(leq, [b for b in range(n) if leq[fuse[b][a]][c]])
+            if rdiv[c][a] is None:
+                return None
+    return ldiv, rdiv
+
+
 def _finish_rl(n, leq, meet, join, fuse, e):
     for x in range(n):
         if fuse[e][x] != x or fuse[x][e] != x:
@@ -557,24 +579,13 @@ def _finish_rl(n, leq, meet, join, fuse, e):
             for z in range(n):
                 if fuse[fuse[x][y]][z] != fuse[x][fuse[y][z]]:
                     return None
-    ldiv = [[0] * n for _ in range(n)]
-    rdiv = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for c in range(n):
-            sols = [b for b in range(n) if leq[fuse[x][b]][c]]
-            best = [b for b in sols if all(leq[b2][b] for b2 in sols)]
-            if len(best) != 1:
-                return None
-            ldiv[x][c] = best[0]
-            sols = [b for b in range(n) if leq[fuse[b][x]][c]]
-            best = [b for b in sols if all(leq[b2][b] for b2 in sols)]
-            if len(best) != 1:
-                return None
-            rdiv[x][c] = best[0]  # note: rdiv[c][x] in table convention below
-    rdiv_tab = [[rdiv[y][x] for y in range(n)] for x in range(n)]
+    residuals = _residuals(n, leq, fuse)
+    if residuals is None:
+        return None
+    ldiv, rdiv = residuals
     alg = FiniteAlgebra(
         size=n, e=e, leq=leq, meet=meet, join=join, fuse=fuse,
-        ldiv=_tbl(ldiv), rdiv=_tbl(rdiv_tab),
+        ldiv=_tbl(ldiv), rdiv=_tbl(rdiv),
     )
     if validate(alg):
         return None
@@ -677,20 +688,10 @@ def _enumerate_sirmonoids(n: int):
 
 
 def _finish_sirmonoid(n, e, fuse, below):
-    ldiv = [[0] * n for _ in range(n)]
-    rdiv = [[0] * n for _ in range(n)]
-    for a_ in range(n):
-        for c in range(n):
-            sols = [b for b in range(n) if below[fuse[a_][b]][c]]
-            best = [b for b in sols if all(below[b2][b] for b2 in sols)]
-            if len(best) != 1:
-                return None
-            ldiv[a_][c] = best[0]
-            sols = [b for b in range(n) if below[fuse[b][a_]][c]]
-            best = [b for b in sols if all(below[b2][b] for b2 in sols)]
-            if len(best) != 1:
-                return None
-            rdiv[c][a_] = best[0]
+    residuals = _residuals(n, below, fuse)
+    if residuals is None:
+        return None
+    ldiv, rdiv = residuals
     # semi-integrality: the induced order must coincide with the given one
     for x in range(n):
         for y in range(n):

@@ -67,18 +67,7 @@ def invert_word(w: GroupWord) -> GroupWord:
     return tuple((v, -s) for v, s in reversed(w))
 
 
-# Internally a join-of-meets is a frozenset of frozensets of words.
-_Jom = frozenset
-
-
-def _jom_size(j) -> int:
-    return sum(len(block) for block in j)
-
-
-def _capped(j, cap: int):
-    if _jom_size(j) > cap:
-        raise GnfSizeError(f"normal form exceeded the word cap ({cap})")
-    return j
+# Internally a join-of-meets is a frozenset of frozensets of group elements.
 
 
 def _absorb(jom):
@@ -92,51 +81,68 @@ def _absorb(jom):
     return frozenset(kept)
 
 
-def _jom_meet(a, b, cap):
-    return _capped(_absorb(frozenset(m | n for m in a for n in b)), cap)
+def distribute(t: Term, gen, unit, mul, inv, cap: int) -> frozenset:
+    """Join-of-meets equal to t, distributed over a group: `gen(name)` is a
+    variable's generator, `unit` the identity, `mul` the product and `inv`
+    the inverse.
+
+    Residuals become products with an inverse, so one algorithm serves the
+    free group (words) and its abelian image (exponent vectors).  Raises
+    GnfSizeError once the total number of elements exceeds `cap`.
+    """
+
+    def capped(j):
+        if sum(len(block) for block in j) > cap:
+            raise GnfSizeError(f"normal form exceeded the word cap ({cap})")
+        return j
+
+    def fuse(a, b):
+        out = set()
+        for m in a:
+            for n in b:
+                out.add(frozenset(mul(w, v) for w in m for v in n))
+        return capped(_absorb(frozenset(out)))
+
+    def invert(a):
+        # (V_i /\_j w_ij)^-1 = /\_i V_j w_ij^-1, distributed back to join-of-meets
+        # incrementally: deduplication and absorption keep the frontier small
+        out = {frozenset()}
+        for m in a:
+            inverted = sorted({inv(w) for w in m})
+            out = _absorb({blk | {w} for blk in out for w in inverted})
+            capped(out)
+        return frozenset(out)
+
+    def go(t):
+        if isinstance(t, Var):
+            return frozenset({frozenset({gen(t.name)})})
+        if isinstance(t, ConstE):
+            return frozenset({frozenset({unit})})
+        if isinstance(t, ConstF):
+            raise ValueError("pointed term: replace f by e before calling a group oracle")
+        if isinstance(t, Meet):
+            a, b = go(t.l), go(t.r)
+            return capped(_absorb(frozenset(m | n for m in a for n in b)))
+        if isinstance(t, Join):
+            return capped(_absorb(go(t.l) | go(t.r)))
+        if isinstance(t, Fuse):
+            return fuse(go(t.l), go(t.r))
+        if isinstance(t, LDiv):
+            return fuse(invert(go(t.l)), go(t.r))
+        if isinstance(t, RDiv):
+            return fuse(go(t.l), invert(go(t.r)))
+        raise TypeError(f"not a term: {t!r}")
+
+    return go(t)
 
 
-def _jom_join(a, b, cap):
-    return _capped(_absorb(a | b), cap)
-
-
-def _jom_fuse(a, b, cap):
-    out = set()
-    for m in a:
-        for n in b:
-            out.add(frozenset(concat_words(w, v) for w in m for v in n))
-    return _capped(_absorb(frozenset(out)), cap)
-
-
-def _jom_invert(a, cap):
-    # (V_i /\_j w_ij)^-1 = /\_i V_j w_ij^-1, distributed back to join-of-meets
-    # incrementally: deduplication and absorption keep the frontier small
-    out = {frozenset()}
-    for m in a:
-        inverted = sorted({invert_word(w) for w in m})
-        out = _absorb({blk | {w} for blk in out for w in inverted})
-        _capped(out, cap)
-    return frozenset(out)
+def _word_gen(name: str) -> GroupWord:
+    return ((name, 1),)
 
 
 def _to_jom(t: Term, cap: int):
-    if isinstance(t, Var):
-        return frozenset({frozenset({((t.name, 1),)})})
-    if isinstance(t, ConstE):
-        return frozenset({frozenset({()})})
-    if isinstance(t, ConstF):
-        raise ValueError("pointed term: replace f by e before calling the l-group oracle")
-    if isinstance(t, Meet):
-        return _jom_meet(_to_jom(t.l, cap), _to_jom(t.r, cap), cap)
-    if isinstance(t, Join):
-        return _jom_join(_to_jom(t.l, cap), _to_jom(t.r, cap), cap)
-    if isinstance(t, Fuse):
-        return _jom_fuse(_to_jom(t.l, cap), _to_jom(t.r, cap), cap)
-    if isinstance(t, LDiv):
-        return _jom_fuse(_jom_invert(_to_jom(t.l, cap), cap), _to_jom(t.r, cap), cap)
-    if isinstance(t, RDiv):
-        return _jom_fuse(_to_jom(t.l, cap), _jom_invert(_to_jom(t.r, cap), cap), cap)
-    raise TypeError(f"not a term: {t!r}")
+    """Join-of-meets of freely reduced words equal to t in every l-group."""
+    return distribute(t, _word_gen, (), concat_words, invert_word, cap)
 
 
 def to_gnf(t: Term, cap: int = DEFAULT_WORD_CAP) -> GroupNormalForm:

@@ -549,6 +549,7 @@ def analyze_node(node: Proof, theory: Theory) -> dict:
 class _Step:
     rule: str
     data: dict
+    goals: list  # the premise goals, as the alternative generator built them
     premises: list["_Step"]
 
 
@@ -626,7 +627,8 @@ def _contiguous_blocks(n: int):
 
 
 # Alternative generators yield (rule, data, premise_goals).  Goals are
-# (left, right) pairs; multiset modes keep both sides sorted.
+# (left, right) pairs; multiset modes keep both sides sorted.  Steps keep the
+# premise goals, so sequence-mode data carries only oracle certificates.
 
 
 def _alts_sequence(goal, ctx: _Ctx):
@@ -645,20 +647,20 @@ def _alts_sequence(goal, ctx: _Ctx):
     if not ctx.explicit and GENAX_ID in rules:
         for i, t in enumerate(L):
             if t == u and ctx.oracle_e(L[:i]) and ctx.oracle_e(L[i + 1 :]):
-                yield GENAX_ID, {"i": i, "certs": (Sequent(L[:i], (E,)), Sequent(L[i + 1 :], (E,)))}, []
+                yield GENAX_ID, {"certs": (Sequent(L[:i], (E,)), Sequent(L[i + 1 :], (E,)))}, []
 
     # single-premise rules
     for i, t in enumerate(L):
         if t == E:
-            yield E_LEFT, {"i": i}, [(_without(L, i), R)]
+            yield E_LEFT, {}, [(_without(L, i), R)]
     if FUSE_LEFT in rules:
         for i, t in enumerate(L):
             if isinstance(t, Fuse):
-                yield FUSE_LEFT, {"i": i}, [(L[:i] + (t.l, t.r) + L[i + 1 :], R)]
+                yield FUSE_LEFT, {}, [(L[:i] + (t.l, t.r) + L[i + 1 :], R)]
     for i, t in enumerate(L):
         if isinstance(t, Meet) and MEET_LEFT_1 in rules:
-            yield MEET_LEFT_1, {"i": i}, [(L[:i] + (t.l,) + L[i + 1 :], R)]
-            yield MEET_LEFT_2, {"i": i}, [(L[:i] + (t.r,) + L[i + 1 :], R)]
+            yield MEET_LEFT_1, {}, [(L[:i] + (t.l,) + L[i + 1 :], R)]
+            yield MEET_LEFT_2, {}, [(L[:i] + (t.r,) + L[i + 1 :], R)]
     if isinstance(u, Join) and JOIN_RIGHT_1 in rules:
         yield JOIN_RIGHT_1, {}, [(L, (u.l,))]
         yield JOIN_RIGHT_2, {}, [(L, (u.r,))]
@@ -668,18 +670,18 @@ def _alts_sequence(goal, ctx: _Ctx):
         yield RDIV_RIGHT, {}, [(L + (u.r,), (u.l,))]
     if W in rules:
         for i, j in _contiguous_blocks(len(L)):
-            yield W, {"i": i, "j": j}, [(L[:i] + L[j:], R)]
+            yield W, {}, [(L[:i] + L[j:], R)]
     if ctx.explicit and th.oracle is not None:
         rule = LG_W if th.oracle == "lg" else ABLG_W
         for i, j in _contiguous_blocks(len(L)):
             block = L[i:j]
             if ctx.oracle_e(block):
-                yield rule, {"i": i, "j": j, "certs": (Sequent(block, (E,)),)}, [(L[:i] + L[j:], R)]
+                yield rule, {"certs": (Sequent(block, (E,)),)}, [(L[:i] + L[j:], R)]
 
     # branching rules
     for i, t in enumerate(L):
         if isinstance(t, Join) and JOIN_LEFT in rules:
-            yield JOIN_LEFT, {"i": i}, [
+            yield JOIN_LEFT, {}, [
                 (L[:i] + (t.l,) + L[i + 1 :], R),
                 (L[:i] + (t.r,) + L[i + 1 :], R),
             ]
@@ -688,19 +690,19 @@ def _alts_sequence(goal, ctx: _Ctx):
     for i, t in enumerate(L):
         if isinstance(t, LDiv):
             for k in range(i + 1):
-                yield LDIV_LEFT, {"i": i, "k": k}, [
+                yield LDIV_LEFT, {}, [
                     (L[k:i], (t.l,)),
                     (L[:k] + (t.r,) + L[i + 1 :], R),
                 ]
         if isinstance(t, RDiv):
             for j in range(i + 1, len(L) + 1):
-                yield RDIV_LEFT, {"i": i, "j": j}, [
+                yield RDIV_LEFT, {}, [
                     (L[i + 1 : j], (t.r,)),
                     (L[:i] + (t.l,) + L[j:], R),
                 ]
     if isinstance(u, Fuse) and FUSE_RIGHT in rules:
         for k in range(len(L) + 1):
-            yield FUSE_RIGHT, {"k": k}, [(L[:k], (u.l,)), (L[k:], (u.r,))]
+            yield FUSE_RIGHT, {}, [(L[:k], (u.l,)), (L[k:], (u.r,))]
 
 
 def _alts_multiset(goal, ctx: _Ctx):
@@ -877,7 +879,7 @@ def _prove(goal, ctx: _Ctx, depth: int):
                 break
             premises.append(sub)
         else:
-            step = _Step(rule, data, premises)
+            step = _Step(rule, data, premise_goals, premises)
             memo[goal] = step
             return step
     memo[goal] = None
@@ -895,13 +897,6 @@ def _remove_one(seq: tuple, item: Term) -> tuple:
 def _remove_last(seq: tuple, item: Term) -> tuple:
     i = len(seq) - 1 - seq[::-1].index(item)
     return _without(seq, i)
-
-
-def _subtract_preserving(seq: tuple, sub: tuple) -> tuple:
-    out = list(seq)
-    for t in sub:
-        out.remove(t)
-    return tuple(out)
 
 
 def _exchange_chain(proof: Proof, target: tuple, side: str) -> Proof:
@@ -931,55 +926,10 @@ def _emit_sequence(step: _Step, goal, oracle: str | None) -> Proof:
     L, R = goal
     concl = Sequent(L, R)
     certs = tuple(Certificate(oracle, s) for s in step.data.get("certs", ()))
-    prem_goals = _premise_goals_sequence(step.rule, step.data, L, R)
     premises = tuple(
-        _emit_sequence(sub, g, oracle) for sub, g in zip(step.premises, prem_goals)
+        _emit_sequence(sub, g, oracle) for sub, g in zip(step.premises, step.goals)
     )
     return Proof(concl, step.rule, premises, certs)
-
-
-def _premise_goals_sequence(rule, data, L, R):
-    u = R[0] if R else None
-    if rule in (ID, E_RIGHT, GENAX_E, GENAX_ID):
-        return []
-    if rule == E_LEFT:
-        return [(_without(L, data["i"]), R)]
-    if rule == FUSE_LEFT:
-        i = data["i"]
-        t = L[i]
-        return [(L[:i] + (t.l, t.r) + L[i + 1 :], R)]
-    if rule in (MEET_LEFT_1, MEET_LEFT_2):
-        i = data["i"]
-        t = L[i]
-        sub = t.l if rule == MEET_LEFT_1 else t.r
-        return [(L[:i] + (sub,) + L[i + 1 :], R)]
-    if rule in (JOIN_RIGHT_1, JOIN_RIGHT_2):
-        return [(L, (u.l if rule == JOIN_RIGHT_1 else u.r,))]
-    if rule == LDIV_RIGHT:
-        return [((u.l,) + L, (u.r,))]
-    if rule == RDIV_RIGHT:
-        return [(L + (u.r,), (u.l,))]
-    if rule in (W, LG_W, ABLG_W):
-        i, j = data["i"], data["j"]
-        return [(L[:i] + L[j:], R)]
-    if rule == JOIN_LEFT:
-        i = data["i"]
-        t = L[i]
-        return [(L[:i] + (t.l,) + L[i + 1 :], R), (L[:i] + (t.r,) + L[i + 1 :], R)]
-    if rule == MEET_RIGHT:
-        return [(L, (u.l,)), (L, (u.r,))]
-    if rule == LDIV_LEFT:
-        i, k = data["i"], data["k"]
-        t = L[i]
-        return [(L[k:i], (t.l,)), (L[:k] + (t.r,) + L[i + 1 :], R)]
-    if rule == RDIV_LEFT:
-        i, j = data["i"], data["j"]
-        t = L[i]
-        return [(L[i + 1 : j], (t.r,)), (L[:i] + (t.l,) + L[j:], R)]
-    if rule == FUSE_RIGHT:
-        k = data["k"]
-        return [(L[:k], (u.l,)), (L[k:], (u.r,))]
-    raise AssertionError(f"unexpected rule in sequence emission: {rule}")
 
 
 def _emit_multiset(step: _Step, target_left: tuple, target_right: tuple) -> Proof:
@@ -1031,7 +981,7 @@ def _emit_multiset(step: _Step, target_left: tuple, target_right: tuple) -> Proo
         return Proof(Sequent(target_left, R), rule, (p,))
     if rule == ABLG_W:
         block = data["block"]
-        rest_target = _subtract_preserving(target_left, block)
+        rest_target = _ms_subtract(target_left, block)
         p = _emit_multiset(step.premises[0], rest_target, R)
         concl_left = rest_target + block
         cert = Certificate("ablg", Sequent(block, (E,)))
@@ -1050,7 +1000,7 @@ def _emit_multiset(step: _Step, target_left: tuple, target_right: tuple) -> Proo
     if rule in (LDIV_LEFT, RDIV_LEFT):
         t = data["principal"]
         sub = data["sub"]
-        rest = _subtract_preserving(_remove_one(target_left, t), sub)
+        rest = _ms_subtract(_remove_one(target_left, t), sub)
         sub_sorted = _sort_ms(sub)
         s_aux = t.l if rule == LDIV_LEFT else t.r
         t_sub = t.r if rule == LDIV_LEFT else t.l
@@ -1065,7 +1015,7 @@ def _emit_multiset(step: _Step, target_left: tuple, target_right: tuple) -> Proo
     if rule == FUSE_RIGHT:
         sub = data["sub"]
         sub_sorted = _sort_ms(sub)
-        rest = _subtract_preserving(target_left, sub)
+        rest = _ms_subtract(target_left, sub)
         p1 = _emit_multiset(step.premises[0], sub_sorted, (u.l,))
         p2 = _emit_multiset(step.premises[1], rest, (u.r,))
         node = Proof(Sequent(sub_sorted + rest, R), rule, (p1, p2))
@@ -1110,8 +1060,8 @@ def _emit_ca(step: _Step, target_left: tuple, target_right: tuple) -> Proof:
         return _exchange_chain(node, target_right, "right")
     if rule == ABLG_W:
         dl, dr = data["del_l"], data["del_r"]
-        rest_l = _subtract_preserving(target_left, dl)
-        rest_r = _subtract_preserving(target_right, dr)
+        rest_l = _ms_subtract(target_left, dl)
+        rest_r = _ms_subtract(target_right, dr)
         dl_sorted, dr_sorted = _sort_ms(dl), _sort_ms(dr)
         p = _emit_ca(step.premises[0], rest_l, rest_r)
         cert = Certificate("ablg", Sequent(dl_sorted, dr_sorted))
@@ -1134,8 +1084,8 @@ def _emit_ca(step: _Step, target_left: tuple, target_right: tuple) -> Proof:
         t = data["principal"]
         sl, sr = data["sub_l"], data["sub_r"]
         sl_s, sr_s = _sort_ms(sl), _sort_ms(sr)
-        rest_l = _subtract_preserving(target_left, sl)
-        rest_r = _subtract_preserving(_remove_one(target_right, t), sr)
+        rest_l = _ms_subtract(target_left, sl)
+        rest_r = _ms_subtract(_remove_one(target_right, t), sr)
         p1 = _emit_ca(step.premises[0], sl_s, (t.l,) + sr_s)
         p2 = _emit_ca(step.premises[1], rest_l, (t.r,) + rest_r)
         node = Proof(Sequent(sl_s + rest_l, (t,) + sr_s + rest_r), rule, (p1, p2))
@@ -1145,8 +1095,8 @@ def _emit_ca(step: _Step, target_left: tuple, target_right: tuple) -> Proof:
         t = data["principal"]
         sl, sr = data["sub_l"], data["sub_r"]
         sl_s, sr_s = _sort_ms(sl), _sort_ms(sr)
-        rest_l = _subtract_preserving(_remove_one(target_left, t), sl)
-        rest_r = _subtract_preserving(target_right, sr)
+        rest_l = _ms_subtract(_remove_one(target_left, t), sl)
+        rest_r = _ms_subtract(target_right, sr)
         p1 = _emit_ca(step.premises[0], sl_s, (t.l,) + sr_s)
         p2 = _emit_ca(step.premises[1], (t.r,) + rest_l, rest_r)
         # G1 empty: conclusion left = t, G2, G3 ; right = D1, D2

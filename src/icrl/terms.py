@@ -345,24 +345,11 @@ class _Parser:
         raise ParseError(f"expected a term, found {text!r}" if text else "unexpected end of input", at)
 
 
-def _check_m_sequent(t: Term, theory: Theory):
-    if not theory.is_m_sequent:
-        return
-    for sub in subterms(t):
-        if isinstance(sub, (Meet, Join)):
-            raise ParseError(
-                f"lattice connective not in the signature of theory {theory.value}", 0
-            )
-        if isinstance(sub, Fuse) and not theory.has_fuse:
-            raise ParseError(f"'*' not in the signature of theory {theory.value}", 0)
-
-
 def parse_term(text: str, theory: Theory = Theory.ICRL) -> Term:
     """Parse a term, expanding derived connectives to the core constructors."""
     p = _Parser(text, theory)
     t = p.term()
     p.expect("EOF")
-    _check_m_sequent(t, theory)
     return normalize_for_theory(t, theory)
 
 
@@ -388,8 +375,6 @@ def parse_sequent(text: str, theory: Theory = Theory.ICRL) -> Sequent:
         raise ParseError(
             f"theory {theory.value} requires exactly one term on the right, found {len(right)}", 0
         )
-    for t in left + right:
-        _check_m_sequent(t, theory)
     return Sequent(
         tuple(normalize_for_theory(t, theory) for t in left),
         tuple(normalize_for_theory(t, theory) for t in right),

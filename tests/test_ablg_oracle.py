@@ -13,6 +13,7 @@ from icrl.ablg_oracle import (
     gordan_infeasible,
     strict_infeasible,
 )
+from icrl import lg_oracle
 from icrl.corpus import gen_sequent, gen_term
 from icrl.terms import Sequent, Theory, Var, parse_sequent, parse_term
 
@@ -62,6 +63,20 @@ def test_ablg_multiple_conclusion_and_f():
     assert ablg_valid_sequent(parse_sequent("=> e, f", Theory.CA)) is True
     assert ablg_valid_sequent(parse_sequent("x =>", Theory.CA)) is False
     assert ablg_valid_sequent(parse_sequent("f => f * f", Theory.CA)) is True
+
+
+def test_abelianize_is_the_collapsed_group_normal_form():
+    # distributing over exponent vectors commutes with collapsing the words
+    # of the free-group normal form (abelianization is a homomorphism)
+    rng = random.Random(4242)
+    for _ in range(200):
+        t = gen_term(rng, num_vars=3, depth=rng.randint(1, 4))
+        words = lg_oracle.to_gnf(t).meetands_by_joinand
+        collapsed = lg_oracle._absorb(
+            frozenset(frozenset(LinearForm.from_word(w) for w in block) for block in words)
+        )
+        expected = tuple(sorted(tuple(sorted(b, key=lambda f: f.coeffs)) for b in collapsed))
+        assert abelianize(t) == expected, t
 
 
 def _random_system(rng):

@@ -4,10 +4,11 @@ import sys
 
 import pytest
 
+from icrl import lg_oracle
 from icrl.cli import run
 from icrl.finmod import algebra_to_dict
 from icrl.prover import proof_from_json
-from icrl.terms import Theory
+from icrl.terms import Theory, print_term
 
 
 def run_cli(capsys, *argv):
@@ -105,7 +106,7 @@ def test_finmod_cli(tmp_path, capsys):
     assert code == 2
 
 
-def test_corpus_run_cli(tmp_path, capsys):
+def test_corpus_run_cli(tmp_path, capsys, monkeypatch):
     spec = {
         "suites": [
             {"name": "glv", "kind": "glivenko-lg", "count": 12, "seed": 5, "vars": 2, "depth": 3},
@@ -118,11 +119,34 @@ def test_corpus_run_cli(tmp_path, capsys):
     assert code == 0
     assert "ALL SUITES AGREE" in out
 
-    spec["suites"][0]["fault_injection"] = "flip_lg"
-    path.write_text(json.dumps(spec))
+    # a faulty oracle that misreports on a slice of inputs must be caught
+    honest = lg_oracle.lg_valid_leq_e
+
+    def flipped(t, *args):
+        ans = honest(t, *args)
+        return not ans if print_term(t).count("x") % 2 == 1 else ans
+
+    monkeypatch.setattr(lg_oracle, "lg_valid_leq_e", flipped)
     code, out, _ = run_cli(capsys, "corpus-run", str(path))
     assert code == 1
     assert "DISAGREEMENT" in out
+
+
+def test_crash_exits_with_error_not_negative(capsys):
+    # the recursive-descent parser runs out of stack on deep nesting
+    deep = "(" * 1200 + "x" + ")" * 1200
+    code, _, err = run_cli(capsys, "prove", "--theory", "icrl", f"{deep} => x")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_closed_stdout_is_a_quiet_error():
+    cmd = [sys.executable, "-m", "icrl.cli", "finmod", "enumerate", "--size", "3", "--class", "rl"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader goes away, as `icrl ... | head -0` would
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 2
+    assert "Errno 32" not in err and "Traceback" not in err
 
 
 def test_json_output_deterministic():

@@ -93,6 +93,25 @@ def test_parse_errors():
     assert err is not None and err.position == 2
 
 
+# meets and joins are outside every m-sequent signature, fusion outside the
+# two bci-like ones; each must be refused wherever it occurs
+M_SEQUENT_REJECTED = [
+    (th, text)
+    for th in (Theory.SIRM, Theory.PSEUDO_BCI, Theory.SIRCOM, Theory.BCI)
+    for text in ("x /\\ y", "x \\/ y", "x \\ (y /\\ e)", "(x \\/ y) / x")
+] + [(th, text) for th in (Theory.PSEUDO_BCI, Theory.BCI) for text in ("x * y", "x \\ (y * e)")]
+
+
+@pytest.mark.parametrize("theory, text", M_SEQUENT_REJECTED)
+def test_m_sequent_signature_rejected_by_the_parser(theory, text):
+    with pytest.raises(ParseError):
+        parse_term(text, theory)
+    with pytest.raises(ParseError):
+        parse_sequent(f"{text} => x", theory)
+    with pytest.raises(ParseError):
+        parse_sequent(f"x => {text}", theory)
+
+
 def test_print_examples():
     assert print_term(LDiv(x, x)) == "x \\ x"
     assert print_term(E) == "e"

@@ -31,7 +31,6 @@ from .finmod import (
 from .lg_oracle import (
     GnfSizeError,
     GroupNormalForm,
-    bfs_identity_oracle,
     lg_valid_leq_e,
     lg_valid_sequent,
     semigroup_contains_identity,
@@ -80,7 +79,6 @@ __all__ = [
     "GroupNormalForm",
     "to_gnf",
     "semigroup_contains_identity",
-    "bfs_identity_oracle",
     "lg_valid_leq_e",
     "lg_valid_sequent",
     "LinearForm",

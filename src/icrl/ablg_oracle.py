@@ -249,6 +249,7 @@ def _sequent_goal(s: Sequent) -> Term:
     return Fuse(left, LDiv(right, ConstE()))
 
 
+@lru_cache(maxsize=65536)
 def ablg_valid_sequent(s: Sequent, cap: int = lg_oracle.DEFAULT_WORD_CAP) -> bool:
     """Sequent validity over abelian l-groups, both sequent shapes."""
     return ablg_valid_leq_e(_sequent_goal(s), cap)
@@ -298,3 +299,4 @@ def find_integer_refutation_leq_e(t: Term, bound: int = 3) -> dict[str, int] | N
 
 def clear_caches():
     ablg_valid_leq_e.cache_clear()
+    ablg_valid_sequent.cache_clear()

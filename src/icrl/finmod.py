@@ -37,7 +37,7 @@ from .terms import (
     sequent_variables,
 )
 
-MAX_SIZE = {"rl": 5, "integral": 5, "sirmonoid": 6, "casari": 5}
+MAX_SIZE = {"rl": 5, "integral": 5, "sirmonoid": 4, "casari": 5}
 
 Table = tuple[tuple[int, ...], ...]
 

@@ -236,24 +236,6 @@ def semigroup_contains_identity(gens: frozenset[GroupWord]) -> bool:
     return auto.accepts_empty()
 
 
-def bfs_identity_oracle(gens, depth: int) -> bool:
-    """Sound but incomplete closure check: products of at most `depth` generators.
-
-    Exists only as an independent cross-check for the automaton answer.
-    """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    gens = set(gens)
-    frontier = set(gens)
-    seen = set(frontier)
-    for _ in range(depth - 1):
-        if () in frontier:
-            return True
-        frontier = {concat_words(w, g) for w in frontier for g in gens} - seen
-        seen |= frontier
-    return () in seen
-
-
 # --- validity ----------------------------------------------------------------
 
 
@@ -264,6 +246,7 @@ def lg_valid_leq_e(t: Term, cap: int = DEFAULT_WORD_CAP) -> bool:
     return all(semigroup_contains_identity(frozenset(block)) for block in jom)
 
 
+@lru_cache(maxsize=65536)
 def lg_valid_sequent(s: Sequent, cap: int = DEFAULT_WORD_CAP) -> bool:
     """Sequent validity over l-groups: product(left) <= right."""
     if len(s.right) != 1:
@@ -278,3 +261,4 @@ def lg_valid_sequent(s: Sequent, cap: int = DEFAULT_WORD_CAP) -> bool:
 def clear_caches():
     semigroup_contains_identity.cache_clear()
     lg_valid_leq_e.cache_clear()
+    lg_valid_sequent.cache_clear()

@@ -22,7 +22,7 @@ multiple-conclusion mode; either side may be empty there.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 
@@ -32,59 +32,68 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstE(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstF(Term):
     pass
 
 
-@dataclass(frozen=True)
-class Meet(Term):
+@dataclass(frozen=True, slots=True)
+class _Binary(Term):
+    """A binary connective.  Its hash is the dataclass hash, hash((l, r)),
+    computed once at construction from the children's stored hashes: hashing
+    a term is O(1) and never recurses, however deep the term."""
+
     l: Term
     r: Term
+    _h: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_h", hash((self.l, self.r)))
+
+    def __hash__(self):
+        return self._h
 
 
-@dataclass(frozen=True)
-class Join(Term):
-    l: Term
-    r: Term
+# Plain subclasses: @dataclass on a subclass would replace the stored hash
+# with the generated recursive one.  Equality still compares classes.
 
 
-@dataclass(frozen=True)
-class Fuse(Term):
-    l: Term
-    r: Term
+class Meet(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LDiv(Term):
+class Join(_Binary):
+    __slots__ = ()
+
+
+class Fuse(_Binary):
+    __slots__ = ()
+
+
+class LDiv(_Binary):
     """Left residual l \\ r."""
 
-    l: Term
-    r: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RDiv(Term):
+class RDiv(_Binary):
     """Right residual l / r."""
 
-    l: Term
-    r: Term
+    __slots__ = ()
 
 
 E = ConstE()
 F = ConstF()
-
-_BINOPS = (Meet, Join, Fuse, LDiv, RDiv)
 
 
 class Theory(enum.Enum):
@@ -152,7 +161,7 @@ def theory_from_name(name: str) -> Theory:
         raise ValueError(f"unknown theory {name!r} (expected one of: {valid})") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequent:
     """left |- right, both tuples of terms.
 
@@ -345,19 +354,28 @@ class _Parser:
         raise ParseError(f"expected a term, found {text!r}" if text else "unexpected end of input", at)
 
 
+def _parse(text: str, theory: Theory, read):
+    """Run `read` on a parser over `text` and check that it used all of it.
+    Nesting deeper than the interpreter's stack allows is a ParseError at the
+    position the parser reached."""
+    p = _Parser(text, theory)
+    try:
+        out = read(p)
+    except RecursionError:
+        raise ParseError("term nested too deeply", p.peek()[2]) from None
+    p.expect("EOF")
+    return out
+
+
 def parse_term(text: str, theory: Theory = Theory.ICRL) -> Term:
     """Parse a term, expanding derived connectives to the core constructors."""
-    p = _Parser(text, theory)
-    t = p.term()
-    p.expect("EOF")
-    return normalize_for_theory(t, theory)
+    return normalize_for_theory(_parse(text, theory, _Parser.term), theory)
 
 
 def parse_sequent(text: str, theory: Theory = Theory.ICRL) -> Sequent:
     """Parse 't1, ..., tn => u' (or a comma-separated right side in ca mode)."""
-    p = _Parser(text, theory)
 
-    def side() -> list[Term]:
+    def side(p: _Parser) -> list[Term]:
         terms = []
         if p.peek()[0] in ("SEQ", "EOF"):
             return terms
@@ -367,10 +385,12 @@ def parse_sequent(text: str, theory: Theory = Theory.ICRL) -> Sequent:
             terms.append(p.term())
         return terms
 
-    left = side()
-    p.expect("SEQ")
-    right = side()
-    p.expect("EOF")
+    def sequent(p: _Parser):
+        left = side(p)
+        p.expect("SEQ")
+        return left, side(p)
+
+    left, right = _parse(text, theory, sequent)
     if not theory.multiple_conclusion and len(right) != 1:
         raise ParseError(
             f"theory {theory.value} requires exactly one term on the right, found {len(right)}", 0
@@ -383,11 +403,13 @@ def parse_sequent(text: str, theory: Theory = Theory.ICRL) -> Sequent:
 
 def parse_leq(text: str, theory: Theory = Theory.ICRL) -> tuple[Term, Term]:
     """Parse an inequation 's <= t'."""
-    p = _Parser(text, theory)
-    s = p.term()
-    p.expect("LEQ")
-    t = p.term()
-    p.expect("EOF")
+
+    def leq(p: _Parser):
+        s = p.term()
+        p.expect("LEQ")
+        return s, p.term()
+
+    s, t = _parse(text, theory, leq)
     return normalize_for_theory(s, theory), normalize_for_theory(t, theory)
 
 
@@ -444,7 +466,7 @@ def print_sequent(s: Sequent) -> str:
 
 def complexity(t: Term) -> int:
     """Number of connective, constant, and variable occurrences."""
-    if isinstance(t, _BINOPS):
+    if isinstance(t, _Binary):
         return 1 + complexity(t.l) + complexity(t.r)
     return 1
 
@@ -455,7 +477,7 @@ def sequent_complexity(s: Sequent) -> int:
 
 def subterms(t: Term):
     yield t
-    if isinstance(t, _BINOPS):
+    if isinstance(t, _Binary):
         yield from subterms(t.l)
         yield from subterms(t.r)
 
@@ -496,10 +518,12 @@ def double_neg(t: Term) -> Term:
 
 
 def subst_f_to_e(t: Term) -> Term:
+    """t with f replaced by e; subterms without f are shared, not copied."""
     if isinstance(t, ConstF):
         return E
-    if isinstance(t, _BINOPS):
-        return type(t)(subst_f_to_e(t.l), subst_f_to_e(t.r))
+    if isinstance(t, _Binary):
+        l, r = subst_f_to_e(t.l), subst_f_to_e(t.r)
+        return t if l is t.l and r is t.r else type(t)(l, r)
     return t
 
 
@@ -509,7 +533,7 @@ def normalize_for_theory(t: Term, theory: Theory) -> Term:
         return t
     if isinstance(t, RDiv):
         return LDiv(normalize_for_theory(t.r, theory), normalize_for_theory(t.l, theory))
-    if isinstance(t, _BINOPS):
+    if isinstance(t, _Binary):
         return type(t)(normalize_for_theory(t.l, theory), normalize_for_theory(t.r, theory))
     return t
 

@@ -13,7 +13,7 @@ from icrl.ablg_oracle import (
     gordan_infeasible,
     strict_infeasible,
 )
-from icrl import lg_oracle
+from icrl import ablg_oracle, lg_oracle
 from icrl.corpus import gen_sequent, gen_term
 from icrl.terms import Sequent, Theory, Var, parse_sequent, parse_term
 
@@ -121,3 +121,11 @@ def test_eval_int():
     t = parse_term("(x /\\ e) * (y \\/ e)")
     assert eval_int(t, {"x": -2, "y": 5}) == -2 + 5
     assert eval_int(t, {"x": 1, "y": -1}) == 0
+
+
+def test_clear_caches_empties_the_sequent_cache():
+    s = parse_sequent("x * y => y * x", Theory.CICRL)
+    assert ablg_valid_sequent(s) is ablg_valid_sequent(s) is True
+    assert ablg_valid_sequent.cache_info().hits >= 1
+    ablg_oracle.clear_caches()
+    assert ablg_valid_sequent.cache_info().currsize == 0

@@ -24,6 +24,7 @@ from icrl.terms import (
     print_term,
     sequent_complexity,
 )
+from tests_helpers_oracles import bfs_identity_oracle
 
 
 def _report(n, text):
@@ -186,7 +187,7 @@ def test_criterion_09_oracle_internal_duality():
         if not gens:
             continue
         automaton = lg_oracle.semigroup_contains_identity(frozenset(gens))
-        bfs = lg_oracle.bfs_identity_oracle(gens, 8)
+        bfs = bfs_identity_oracle(gens, 8)
         if bfs:
             conclusive += 1
             assert automaton, f"automaton misses identity found by closure: {gens}"

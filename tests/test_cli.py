@@ -140,6 +140,21 @@ def test_crash_exits_with_error_not_negative(capsys):
     assert err.startswith("error: ")
 
 
+def test_deep_nesting_is_a_parse_error(capsys):
+    deep = "(" * 1200 + "x" + ")" * 1200
+    code, _, err = run_cli(capsys, "prove", "--theory", "icrl", f"{deep} => x")
+    assert code == 2
+    assert "nested too deeply" in err
+    assert "(at position" in err
+
+
+def test_enumeration_beyond_the_cap_is_refused():
+    cmd = [sys.executable, "-m", "icrl.cli", "finmod", "enumerate", "--size", "5", "--class", "sirmonoid"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert "out of range" in proc.stderr
+
+
 def test_closed_stdout_is_a_quiet_error():
     cmd = [sys.executable, "-m", "icrl.cli", "finmod", "enumerate", "--size", "3", "--class", "rl"]
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)

@@ -248,3 +248,9 @@ def test_refutation_agrees_with_prover():
         hit = refute(s, 3, "integral")
         if hit is not None:
             assert not search(s, Theory.ICRL).derivable, s
+
+
+def test_sirmonoid_enumeration_cap():
+    assert finmod.MAX_SIZE["sirmonoid"] == 4
+    with pytest.raises(ValueError, match="out of range"):
+        enumerate_algebras(5, "sirmonoid")

@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from icrl import ablg_oracle
+from icrl import ablg_oracle, lg_oracle
 from icrl.corpus import gen_term
 from icrl.lg_oracle import (
     GnfSizeError,
-    bfs_identity_oracle,
     concat_words,
     lg_valid_leq_e,
     lg_valid_sequent,
@@ -15,6 +14,7 @@ from icrl.lg_oracle import (
     to_gnf,
 )
 from icrl.terms import E, Fuse, Join, LDiv, Meet, Var, parse_sequent, parse_term
+from tests_helpers_oracles import bfs_identity_oracle
 
 x, y = Var("x"), Var("y")
 
@@ -166,3 +166,11 @@ def test_pointed_input_rejected():
 
     with pytest.raises(ValueError):
         lg_valid_leq_e(parse_term("f \\ e", Theory.CA))
+
+
+def test_clear_caches_empties_the_sequent_cache():
+    s = parse_sequent("x, x \\ e => e")
+    assert lg_valid_sequent(s) is lg_valid_sequent(s) is True
+    assert lg_valid_sequent.cache_info().hits >= 1
+    lg_oracle.clear_caches()
+    assert lg_valid_sequent.cache_info().currsize == 0

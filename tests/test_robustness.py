@@ -8,7 +8,7 @@ import pytest
 from icrl.cli import run
 from icrl.corpus import gen_sequent
 from icrl.cutelim import eliminate_cuts
-from icrl.lg_oracle import bfs_identity_oracle, semigroup_contains_identity
+from icrl.lg_oracle import semigroup_contains_identity
 from icrl.prover import (
     check_proof,
     make_cut,
@@ -17,6 +17,7 @@ from icrl.prover import (
     search_lgw_explicit,
 )
 from icrl.terms import F, Sequent, Theory, parse_sequent
+from tests_helpers_oracles import bfs_identity_oracle
 
 
 def test_identity_beyond_bfs_horizon():

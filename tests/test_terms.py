@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -25,6 +26,7 @@ from icrl.terms import (
     parse_term,
     print_sequent,
     print_term,
+    subst_f_to_e,
     subterms,
 )
 
@@ -187,3 +189,55 @@ def test_round_trip_random_sequents():
         terms = tuple(gen_term(rng, num_vars=2, depth=3) for _ in range(nl))
         s = Sequent(terms, (gen_term(rng, num_vars=2, depth=3),))
         assert parse_sequent(print_sequent(s), Theory.ICRL) == s
+
+
+@pytest.mark.parametrize("cls", [Meet, Join, Fuse, LDiv, RDiv])
+def test_binary_hash_is_the_dataclass_hash(cls):
+    t = cls(Var("x"), cls(Var("y"), E))
+    assert hash(t) == hash((t.l, t.r))
+    assert hash(t.r) == hash((Var("y"), E))
+    assert t == cls(Var("x"), cls(Var("y"), E))
+
+
+def test_leaf_hashes_are_the_dataclass_hashes():
+    assert hash(Var("x")) == hash(("x",))
+    assert hash(E) == hash(()) == hash(F)
+
+
+def test_deep_chain_hashes_without_recursion():
+    t = Var("x")
+    for _ in range(10_000):
+        t = Fuse(t, Var("y"))
+    assert hash(t) == hash((t.l, t.r))
+    assert t in {t}
+
+
+def test_terms_are_slotted_and_frozen():
+    x, y = Var("x"), Var("y")
+    for t in (x, E, F, Meet(x, y), Join(x, y), Fuse(x, y), LDiv(x, y), RDiv(x, y), Sequent((x,), (y,))):
+        assert not hasattr(t, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        x.name = "y"
+    with pytest.raises(FrozenInstanceError):
+        Fuse(x, y).l = y
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_term, "{deep}"),
+    (parse_sequent, "{deep} => x"),
+    (parse_leq, "x <= {deep}"),
+])
+def test_deep_nesting_is_a_parse_error(parse, text):
+    deep = "(" * 1200 + "x" + ")" * 1200
+    with pytest.raises(ParseError, match="term nested too deeply"):
+        parse(text.format(deep=deep))
+
+
+def test_subst_f_to_e_shares_f_free_subterms():
+    x, y = Var("x"), Var("y")
+    free = Fuse(x, LDiv(y, E))
+    assert subst_f_to_e(free) is free
+    t = Meet(free, LDiv(x, F))
+    out = subst_f_to_e(t)
+    assert out == Meet(free, LDiv(x, E))
+    assert out.l is free

@@ -1,7 +1,8 @@
-"""Proof JSON is pinned byte for byte on seeded sequents of every theory.
+"""Proof JSON and search counters are pinned on seeded sequents of every theory.
 
 The fixture holds, for each case, the proof JSON that search emits (or null
-when the sequent is not derivable), for both weakening formulations where the
+when the sequent is not derivable) and the search's `nodes_expanded` and
+`max_depth` from an empty memo, for both weakening formulations where the
 theory has an oracle.  Refactors of search, emission or the oracles must keep
 these bytes.  Regenerate the fixture only for an intended change of output:
 
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 from icrl.corpus import gen_sequent
-from icrl.prover import proof_to_json, search, search_lgw_explicit
+from icrl.prover import clear_caches, proof_to_json, search, search_lgw_explicit
 from icrl.terms import Theory, parse_sequent, print_sequent
 
 FIXTURE = Path(__file__).with_name("golden_proofs.json")
@@ -22,6 +23,18 @@ FIXTURE = Path(__file__).with_name("golden_proofs.json")
 # (count, variables, depth, max left terms) per theory: the one-variable
 # depth-2 sequents are derivable often enough to pin many proofs.
 SHAPES = ((30, 1, 2, 2), (20, 2, 1, 3))
+
+# Sequents whose proof or search counters depend on the order in which a
+# generator yields its alternatives, which the seeded cases above do not catch.
+# ca tries fuse-left and the meet-lefts per principal formula in turn (trying
+# every fuse-left first finds another proof); cicrl tries every fuse-left
+# before any meet-left (the other order expands more goals before failing).
+_CICRL_ORDER = "y * (x * e * (x /\\ e)), x /\\ e / y \\/ y => (y \\ x \\/ y) / (y * y / x * y)"
+ORDER_SENSITIVE = (
+    (Theory.CA, "generalized-axioms", "e /\\ x, x * e => e * f, f \\ x"),
+    (Theory.CICRL, "generalized-axioms", _CICRL_ORDER),
+    (Theory.CICRL, "explicit-weakening", _CICRL_ORDER),
+)
 
 
 def _cases():
@@ -37,19 +50,25 @@ def _cases():
                 yield th, "generalized-axioms", print_sequent(s)
                 if th.oracle is not None and not th.multiple_conclusion:
                     yield th, "explicit-weakening", print_sequent(s)
+    yield from ORDER_SENSITIVE
 
 
-def _proof_json(th: Theory, formulation: str, text: str):
+def _case(th: Theory, formulation: str, text: str) -> dict:
     find = search if formulation == "generalized-axioms" else search_lgw_explicit
+    clear_caches()
     out = find(parse_sequent(text, th), th)
-    return proof_to_json(out.proof) if out.derivable else None
+    return {
+        "theory": th.value,
+        "formulation": formulation,
+        "sequent": text,
+        "proof": proof_to_json(out.proof) if out.derivable else None,
+        "nodes_expanded": out.nodes_expanded,
+        "max_depth": out.max_depth,
+    }
 
 
 def _golden():
-    return [
-        {"theory": th.value, "formulation": form, "sequent": text, "proof": _proof_json(th, form, text)}
-        for th, form, text in _cases()
-    ]
+    return [_case(th, form, text) for th, form, text in _cases()]
 
 
 def test_proof_json_matches_golden():

@@ -15,7 +15,6 @@ from .ablg_oracle import (
     abelianize,
     ablg_valid_leq_e,
     ablg_valid_sequent,
-    gordan_infeasible,
     strict_infeasible,
 )
 from .cutelim import eliminate_cuts
@@ -85,7 +84,6 @@ __all__ = [
     "StrictSystem",
     "abelianize",
     "strict_infeasible",
-    "gordan_infeasible",
     "ablg_valid_leq_e",
     "ablg_valid_sequent",
     "Proof",

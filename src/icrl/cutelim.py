@@ -44,6 +44,7 @@ from .prover import (
     RDIV_LEFT,
     RDIV_RIGHT,
     W,
+    CONTEXT_RULES,
     Certificate,
     Proof,
     _exchange_chain,
@@ -78,6 +79,16 @@ def _map_swap(pos: int, a: int, b: int, c: int) -> int:
     if b <= pos < c:
         return pos - (b - a)
     return pos
+
+
+def _shift(node: Proof, i: int, pos: int, side: str) -> int:
+    """How far node's context rule, its principal at i, moves a tracked
+    position on `side` from the conclusion to the premises."""
+    spec = CONTEXT_RULES[node.rule]
+    if spec.side != side or i >= pos:
+        return 0
+    principal = (node.conclusion.left if side == "left" else node.conclusion.right)[i]
+    return len(spec.parts(principal)[0]) - 1
 
 
 def eliminate_cuts(p: Proof, theory: Theory) -> Proof:
@@ -145,13 +156,8 @@ def _reduce_cases(d1, d2, pos, th, s, G2, L2, R2, target, delta):
         return _wrap_insert(out, G2[:i], pos, th)
 
     # -- rules of d1 in which the cut formula is parametric: permute upward
-    if r1 in (E_LEFT, FUSE_LEFT, MEET_LEFT_1, MEET_LEFT_2):
-        r = _reduce(d1.premises[0], d2, pos, th)
-        return Proof(target, r1, (r,))
-    if r1 == JOIN_LEFT:
-        ra = _reduce(d1.premises[0], d2, pos, th)
-        rb = _reduce(d1.premises[1], d2, pos, th)
-        return Proof(target, r1, (ra, rb))
+    if r1 in CONTEXT_RULES and CONTEXT_RULES[r1].side == "left":
+        return Proof(target, r1, tuple(_reduce(q, d2, pos, th) for q in d1.premises))
     if r1 == LDIV_LEFT:
         p1, p2 = d1.premises
         r = _reduce(p2, d2, pos, th)
@@ -194,48 +200,25 @@ def _reduce_cases(d1, d2, pos, th, s, G2, L2, R2, target, delta):
 
     a2 = analyze_node(d2, th)
 
-    if r2rule == E_LEFT:
+    spec = CONTEXT_RULES.get(r2rule)
+    if spec is not None:
         i = a2["i"]
-        p = d2.premises[0]
-        if i == pos:  # principal: the cut formula is this unit occurrence
-            if r1 == E_RIGHT:
-                return p
-            if r1 == GENAX_E:
-                return _wrap_insert(p, G2, pos, th)
-            raise CutEliminationError(f"unit cut against {r1}")
-        posp = pos - (1 if i < pos else 0)
-        r = _reduce(d1, p, posp, th)
-        return Proof(target, E_LEFT, (r,))
-
-    if r2rule == FUSE_LEFT:
-        i = a2["i"]
-        p = d2.premises[0]
-        if i == pos:  # principal fuse cut
-            q1, q2 = d1.premises
-            r1x = _reduce(q2, p, pos + 1, th)
-            return _reduce(q1, r1x, pos, th)
-        posp = pos + (1 if i < pos else 0)
-        r = _reduce(d1, p, posp, th)
-        return Proof(target, FUSE_LEFT, (r,))
-
-    if r2rule in (MEET_LEFT_1, MEET_LEFT_2):
-        i = a2["i"]
-        p = d2.premises[0]
-        if i == pos:  # principal meet cut
-            q = d1.premises[0 if r2rule == MEET_LEFT_1 else 1]
-            return _reduce(q, p, pos, th)
-        r = _reduce(d1, p, pos, th)
-        return Proof(target, r2rule, (r,))
-
-    if r2rule == JOIN_LEFT:
-        i = a2["i"]
-        pa, pb = d2.premises
-        if i == pos:  # principal join cut
-            p = pa if r1 == JOIN_RIGHT_1 else pb
-            return _reduce(d1.premises[0], p, pos, th)
-        ra = _reduce(d1, pa, pos, th)
-        rb = _reduce(d1, pb, pos, th)
-        return Proof(target, JOIN_LEFT, (ra, rb))
+        p = d2.premises
+        if spec.side == "left" and i == pos:  # principal: d1 introduced s on the right
+            if r2rule == E_LEFT:
+                if r1 == E_RIGHT:
+                    return p[0]
+                if r1 == GENAX_E:
+                    return _wrap_insert(p[0], G2, pos, th)
+                raise CutEliminationError(f"unit cut against {r1}")
+            if r2rule == FUSE_LEFT:
+                q1, q2 = d1.premises
+                return _reduce(q1, _reduce(q2, p[0], pos + 1, th), pos, th)
+            if r2rule == JOIN_LEFT:
+                return _reduce(d1.premises[0], p[0 if r1 == JOIN_RIGHT_1 else 1], pos, th)
+            return _reduce(d1.premises[0 if r2rule == MEET_LEFT_1 else 1], p[0], pos, th)
+        posp = pos + _shift(d2, i, pos, "left")
+        return Proof(target, r2rule, tuple(_reduce(d1, q, posp, th) for q in p))
 
     if r2rule == LDIV_LEFT:
         i, k = a2["i"], a2["k"]
@@ -272,15 +255,6 @@ def _reduce_cases(d1, d2, pos, th, s, G2, L2, R2, target, delta):
     if r2rule == RDIV_RIGHT:
         r = _reduce(d1, d2.premises[0], pos, th)
         return Proof(target, RDIV_RIGHT, (r,))
-
-    if r2rule in (JOIN_RIGHT_1, JOIN_RIGHT_2):
-        r = _reduce(d1, d2.premises[0], pos, th)
-        return Proof(target, r2rule, (r,))
-
-    if r2rule == MEET_RIGHT:
-        ra = _reduce(d1, d2.premises[0], pos, th)
-        rb = _reduce(d1, d2.premises[1], pos, th)
-        return Proof(target, MEET_RIGHT, (ra, rb))
 
     if r2rule == FUSE_RIGHT:
         k = a2["k"]
@@ -367,47 +341,14 @@ def _reduce_ca_cases(d1, d2, lpos, rpos, th, target):
     if r1 == ER:
         a = analyze_node(d1, th)
         return _reduce_ca(d1.premises[0], d2, lpos, _map_swap(rpos, a["a"], a["b"], a["c"]), th)
-    if r1 == E_LEFT:
-        r = _reduce_ca(d1.premises[0], d2, lpos, rpos, th)
-        return Proof(Sequent((E,) + r.conclusion.left, r.conclusion.right), E_LEFT, (r,))
-    if r1 == F_RIGHT:
+    spec = CONTEXT_RULES.get(r1)
+    if spec is not None:
         i = analyze_node(d1, th)["i"]
-        if i != rpos:
-            rposp = rpos - (1 if i < rpos else 0)
-            r = _reduce_ca(d1.premises[0], d2, lpos, rposp, th)
-            f = d1.conclusion.right[i]
-            return Proof(Sequent(r.conclusion.left, (f,) + r.conclusion.right), F_RIGHT, (r,))
-        return _reduce_ca_d2(d1, d2, lpos, rpos, th, target)
-    if r1 == FUSE_LEFT:
-        t = _principal_left(d1)
-        r = _reduce_ca(d1.premises[0], d2, lpos, rpos, th)
-        return _rb_one_left(FUSE_LEFT, t, (t.l, t.r), r)
-    if r1 in (MEET_LEFT_1, MEET_LEFT_2):
-        t = _principal_left(d1)
-        sub = t.l if r1 == MEET_LEFT_1 else t.r
-        r = _reduce_ca(d1.premises[0], d2, lpos, rpos, th)
-        return _rb_one_left(r1, t, (sub,), r)
-    if r1 == JOIN_LEFT:
-        t = _principal_left(d1)
-        ra = _reduce_ca(d1.premises[0], d2, lpos, rpos, th)
-        rb = _reduce_ca(d1.premises[1], d2, lpos, rpos, th)
-        return _rb_join_left(t, ra, rb)
-    if r1 in (JOIN_RIGHT_1, JOIN_RIGHT_2):
-        a = analyze_node(d1, th)
-        t = d1.conclusion.right[a["i"]]
-        if a["i"] != rpos:
-            sub = t.l if r1 == JOIN_RIGHT_1 else t.r
-            r = _reduce_ca(d1.premises[0], d2, lpos, rpos, th)
-            return _rb_one_right(r1, t, sub, r)
-        return _reduce_ca_d2(d1, d2, lpos, rpos, th, target)
-    if r1 == MEET_RIGHT:
-        a = analyze_node(d1, th)
-        t = d1.conclusion.right[a["i"]]
-        if a["i"] != rpos:
-            ra = _reduce_ca(d1.premises[0], d2, lpos, rpos, th)
-            rb = _reduce_ca(d1.premises[1], d2, lpos, rpos, th)
-            return _rb_meet_right(t, ra, rb)
-        return _reduce_ca_d2(d1, d2, lpos, rpos, th, target)
+        if spec.side == "right" and i == rpos:
+            return _reduce_ca_d2(d1, d2, lpos, rpos, th, target)
+        rposp = rpos + _shift(d1, i, rpos, "right")
+        rs = [_reduce_ca(q, d2, lpos, rposp, th) for q in d1.premises]
+        return _rebuild(r1, d1, i, rs)
     if r1 == ARROW_RIGHT:
         t = d1.conclusion.right[0]
         if rpos != 0:
@@ -427,7 +368,7 @@ def _reduce_ca_cases(d1, d2, lpos, rpos, th, target):
         return _reduce_ca_d2(d1, d2, lpos, rpos, th, target)
     if r1 == ARROW_LEFT:
         p1, p2 = d1.premises
-        t = _principal_left(d1)
+        t = d1.conclusion.left[analyze_node(d1, th)["i"]]
         n_d1 = len(p2.conclusion.right)  # size of D1
         if rpos < n_d1:
             r = _reduce_ca(p2, d2, lpos, rpos, th)
@@ -456,7 +397,6 @@ def _reduce_ca_d2(d1, d2, lpos, rpos, th, target):
     """d1 is principal at the tracked occurrence; permute through d2."""
     L1, R1 = d1.conclusion.left, d1.conclusion.right
     r2 = d2.rule
-    s = d2.conclusion.left[lpos]
 
     if r2 == ID:
         return d1
@@ -465,78 +405,31 @@ def _reduce_ca_d2(d1, d2, lpos, rpos, th, target):
         return _reduce_ca(d1, d2.premises[0], _map_swap(lpos, a["a"], a["b"], a["c"]), rpos, th)
     if r2 == ER:
         return _reduce_ca(d1, d2.premises[0], lpos, rpos, th)
-    if r2 == E_LEFT:
-        i = analyze_node(d2, th)["i"]
-        p = d2.premises[0]
-        if i == lpos:  # principal unit cut; d1 ends with the unit axiom
-            if d1.rule != E_RIGHT:
-                raise CutEliminationError(f"unit cut against {d1.rule}")
-            return p
-        lposp = lpos - (1 if i < lpos else 0)
-        r = _reduce_ca(d1, p, lposp, rpos, th)
-        return Proof(Sequent((E,) + r.conclusion.left, r.conclusion.right), E_LEFT, (r,))
     if r2 == F_LEFT:
         # principal f cut: d1 introduced this f on the right
         if d1.rule != F_RIGHT:
             raise CutEliminationError(f"f cut against {d1.rule}")
         return d1.premises[0]
-    if r2 == F_RIGHT:
+    spec = CONTEXT_RULES.get(r2)
+    if spec is not None:
         i = analyze_node(d2, th)["i"]
-        f = d2.conclusion.right[i]
-        r = _reduce_ca(d1, d2.premises[0], lpos, rpos, th)
-        return Proof(Sequent(r.conclusion.left, (f,) + r.conclusion.right), F_RIGHT, (r,))
-    if r2 == FUSE_LEFT:
-        t = _principal_left(d2)
-        i = analyze_node(d2, th)["i"]
-        p = d2.premises[0]
-        if i == lpos:  # principal fuse cut
-            if d1.rule != FUSE_RIGHT:
-                raise CutEliminationError(f"fuse cut against {d1.rule}")
-            q1, q2 = d1.premises
-            r1x = _reduce_ca(q2, p, lpos + 1, 0, th)
-            return _reduce_ca(q1, r1x, lpos, 0, th)
-        lposp = lpos + (1 if i < lpos else 0)
-        r = _reduce_ca(d1, p, lposp, rpos, th)
-        return _rb_one_left(FUSE_LEFT, t, (t.l, t.r), r)
-    if r2 in (MEET_LEFT_1, MEET_LEFT_2):
-        a = analyze_node(d2, th)
-        i = a["i"]
-        t = d2.conclusion.left[i]
-        p = d2.premises[0]
-        if i == lpos:  # principal meet cut
-            if d1.rule != MEET_RIGHT:
-                raise CutEliminationError(f"meet cut against {d1.rule}")
-            q = d1.premises[0 if r2 == MEET_LEFT_1 else 1]
-            return _reduce_ca(q, p, lpos, rpos, th)
-        r = _reduce_ca(d1, p, lpos, rpos, th)
-        sub = t.l if r2 == MEET_LEFT_1 else t.r
-        return _rb_one_left(r2, t, (sub,), r)
-    if r2 == JOIN_LEFT:
-        a = analyze_node(d2, th)
-        i = a["i"]
-        t = d2.conclusion.left[i]
-        pa, pb = d2.premises
-        if i == lpos:  # principal join cut (d1 is join-right-k)
-            if d1.rule == JOIN_RIGHT_1:
-                return _reduce_ca(d1.premises[0], pa, lpos, rpos, th)
-            if d1.rule == JOIN_RIGHT_2:
-                return _reduce_ca(d1.premises[0], pb, lpos, rpos, th)
-            raise CutEliminationError(f"join cut against {d1.rule}")
-        ra = _reduce_ca(d1, pa, lpos, rpos, th)
-        rb = _reduce_ca(d1, pb, lpos, rpos, th)
-        return _rb_join_left(t, ra, rb)
-    if r2 in (JOIN_RIGHT_1, JOIN_RIGHT_2):
-        a = analyze_node(d2, th)
-        t = d2.conclusion.right[a["i"]]
-        sub = t.l if r2 == JOIN_RIGHT_1 else t.r
-        r = _reduce_ca(d1, d2.premises[0], lpos, rpos, th)
-        return _rb_one_right(r2, t, sub, r)
-    if r2 == MEET_RIGHT:
-        a = analyze_node(d2, th)
-        t = d2.conclusion.right[a["i"]]
-        ra = _reduce_ca(d1, d2.premises[0], lpos, rpos, th)
-        rb = _reduce_ca(d1, d2.premises[1], lpos, rpos, th)
-        return _rb_meet_right(t, ra, rb)
+        p = d2.premises
+        if spec.side == "left" and i == lpos:  # principal: d1 introduced s at rpos
+            if r2 == E_LEFT and d1.rule == E_RIGHT:
+                return p[0]
+            if r2 == FUSE_LEFT and d1.rule == FUSE_RIGHT:
+                q1, q2 = d1.premises
+                return _reduce_ca(q1, _reduce_ca(q2, p[0], lpos + 1, 0, th), lpos, 0, th)
+            if r2 in (MEET_LEFT_1, MEET_LEFT_2) and d1.rule == MEET_RIGHT:
+                q = d1.premises[0 if r2 == MEET_LEFT_1 else 1]
+                return _reduce_ca(q, p[0], lpos, rpos, th)
+            if r2 == JOIN_LEFT and d1.rule in (JOIN_RIGHT_1, JOIN_RIGHT_2):
+                q = p[0 if d1.rule == JOIN_RIGHT_1 else 1]
+                return _reduce_ca(d1.premises[0], q, lpos, rpos, th)
+            raise CutEliminationError(f"principal {r2} cut against {d1.rule}")
+        lposp = lpos + _shift(d2, i, lpos, "left")
+        rs = [_reduce_ca(d1, q, lposp, rpos, th) for q in p]
+        return _rebuild(r2, d2, i, rs)
     if r2 == ARROW_RIGHT:
         t = d2.conclusion.right[0]
         r = _reduce_ca(d1, d2.premises[0], lpos, rpos, th)
@@ -583,57 +476,28 @@ def _reduce_ca_d2(d1, d2, lpos, rpos, th, target):
     raise CutEliminationError(f"unhandled d2 rule in ca reduction: {r2}")
 
 
-def _principal_left(node: Proof):
-    """Principal left formula of a left rule: the conclusion/premise multiset
-    difference identifies it without re-deriving the full analysis."""
-    concl = _count(node.conclusion.left)
-    prem = _count(node.premises[0].conclusion.left)
-    for t, n in concl.items():
-        if n > prem.get(t, 0):
-            return t
-    raise CutEliminationError("no principal left formula found")
-
-
-def _count(seq):
-    out: dict = {}
-    for t in seq:
-        out[t] = out.get(t, 0) + 1
-    return out
-
-
 # canonical multiple-conclusion rebuilds (order fixed afterwards by _patch)
 
 
-def _rb_one_left(rule: str, t, subs: tuple, p: Proof) -> Proof:
-    rest = p.conclusion.left
-    for sub in subs:
+def _rebuild(rule: str, node: Proof, i: int, premises) -> Proof:
+    """A context rule over rebuilt premises, its principal (node's formula at
+    i) first on its side: each premise is exchanged to read the principal's
+    subterms followed by the context the first premise leaves, and the other
+    side is read from the first premise."""
+    spec = CONTEXT_RULES[rule]
+    left = spec.side == "left"
+    t = (node.conclusion.left if left else node.conclusion.right)[i]
+    parts = spec.parts(t)
+    first = premises[0].conclusion
+    rest, other = (first.left, first.right) if left else (first.right, first.left)
+    for sub in parts[0]:
         rest = _remove_one(rest, sub)
-    p = _exchange_chain(p, subs + rest, "left")
-    return Proof(Sequent((t,) + rest, p.conclusion.right), rule, (p,))
-
-
-def _rb_one_right(rule: str, t, sub, p: Proof) -> Proof:
-    rest = _remove_one(p.conclusion.right, sub)
-    p = _exchange_chain(p, (sub,) + rest, "right")
-    return Proof(Sequent(p.conclusion.left, (t,) + rest), rule, (p,))
-
-
-def _rb_join_left(t, pa: Proof, pb: Proof) -> Proof:
-    rest = _remove_one(pa.conclusion.left, t.l)
-    right = pa.conclusion.right
-    pa = _exchange_chain(pa, (t.l,) + rest, "left")
-    pb = _exchange_chain(pb, (t.r,) + rest, "left")
-    pb = _exchange_chain(pb, right, "right")
-    return Proof(Sequent((t,) + rest, right), JOIN_LEFT, (pa, pb))
-
-
-def _rb_meet_right(t, pa: Proof, pb: Proof) -> Proof:
-    rest = _remove_one(pa.conclusion.right, t.l)
-    left = pa.conclusion.left
-    pa = _exchange_chain(pa, (t.l,) + rest, "right")
-    pb = _exchange_chain(pb, (t.r,) + rest, "right")
-    pb = _exchange_chain(pb, left, "left")
-    return Proof(Sequent(left, (t,) + rest), MEET_RIGHT, (pa, pb))
+    out = []
+    for q, sub in zip(premises, parts):
+        q = _exchange_chain(q, sub + rest, spec.side)
+        out.append(_exchange_chain(q, other, "right" if left else "left"))
+    concl = Sequent((t,) + rest, other) if left else Sequent(other, (t,) + rest)
+    return Proof(concl, rule, tuple(out))
 
 
 def _rb_arrow_right(t, p: Proof) -> Proof:

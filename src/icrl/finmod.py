@@ -424,11 +424,9 @@ def check_property(a: FiniteAlgebra, name: str, arg: int | None = None) -> bool:
 # --- enumeration -------------------------------------------------------------------
 
 
-def _lattices(n: int):
-    """All labeled lattice orders on 0..n-1 as (leq, meet, join) triples."""
-    if n == 1:
-        yield ((True,),), ((0,),), ((0,),)
-        return
+def _partial_orders(n: int):
+    """All labeled partial orders on 0..n-1 as leq tables: each pair i < j is
+    incomparable, i below j or j below i, and transitivity filters."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for combo in itertools.product((0, 1, 2), repeat=len(pairs)):
         leq = [[i == j for j in range(n)] for i in range(n)]
@@ -437,16 +435,16 @@ def _lattices(n: int):
                 leq[i][j] = True
             elif rel == 2:
                 leq[j][i] = True
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                if ok and leq[i][j]:
-                    for k in range(n):
-                        if leq[j][k] and not leq[i][k]:
-                            ok = False
-                            break
-        if not ok:
-            continue
+        if all(
+            leq[i][k] or not leq[j][k]
+            for i in range(n) for j in range(n) if leq[i][j] for k in range(n)
+        ):
+            yield _tbl(leq)
+
+
+def _lattices(n: int):
+    """All labeled lattice orders on 0..n-1 as (leq, meet, join) triples."""
+    for leq in _partial_orders(n):
         meet = [[0] * n for _ in range(n)]
         join = [[0] * n for _ in range(n)]
         lattice = True
@@ -464,7 +462,7 @@ def _lattices(n: int):
                 meet[i][j] = glb[0]
                 join[i][j] = lub[0]
         if lattice:
-            yield _tbl(leq), _tbl(meet), _tbl(join)
+            yield leq, _tbl(meet), _tbl(join)
 
 
 def _join_irreducibles(n, leq, join):
@@ -653,27 +651,13 @@ def _enumerate_monoids(n: int, e: int):
 
 def _enumerate_sirmonoids(n: int):
     e = 0  # unit position is normalized away by canonicalization anyway
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # the orders in which e is maximal, the same for every fuse table
+    orders = [
+        below for below in _partial_orders(n)
+        if not any(below[e][x] for x in range(n) if x != e)
+    ]
     for fuse in _enumerate_monoids(n, e):
-        for combo in itertools.product((0, 1, 2), repeat=len(pairs)):
-            below = [[i == j for j in range(n)] for i in range(n)]
-            for (i, j), rel in zip(pairs, combo):
-                if rel == 1:
-                    below[i][j] = True
-                elif rel == 2:
-                    below[j][i] = True
-            if any(below[e][x] for x in range(n) if x != e):
-                continue  # e must be maximal
-            ok = True
-            for i in range(n):
-                for j in range(n):
-                    if ok and below[i][j]:
-                        for k in range(n):
-                            if below[j][k] and not below[i][k]:
-                                ok = False
-                                break
-            if not ok:
-                continue
+        for below in orders:
             # monotonicity of fusion
             if any(
                 below[x][y] and not (below[fuse[z][x]][fuse[z][y]] and below[fuse[x][z]][fuse[y][z]])

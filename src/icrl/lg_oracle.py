@@ -42,17 +42,6 @@ class GroupNormalForm:
         assert all(block for block in self.meetands_by_joinand)
 
 
-def reduce_word(letters) -> GroupWord:
-    """Freely reduce a letter sequence with a cancellation stack."""
-    stack: list[Letter] = []
-    for v, s in letters:
-        if stack and stack[-1][0] == v and stack[-1][1] == -s:
-            stack.pop()
-        else:
-            stack.append((v, s))
-    return tuple(stack)
-
-
 def concat_words(w1: GroupWord, w2: GroupWord) -> GroupWord:
     stack = list(w1)
     for v, s in w2:
@@ -243,7 +232,10 @@ def semigroup_contains_identity(gens: frozenset[GroupWord]) -> bool:
 def lg_valid_leq_e(t: Term, cap: int = DEFAULT_WORD_CAP) -> bool:
     """True iff t <= e holds in every lattice-ordered group."""
     jom = _to_jom(t, cap)
-    return all(semigroup_contains_identity(frozenset(block)) for block in jom)
+    # smallest block first, in a fixed order: the first invalid block ends the
+    # check, so iterating the frozenset would make the work follow the hash seed
+    blocks = sorted(jom, key=lambda block: (len(block), sorted(block)))
+    return all(semigroup_contains_identity(frozenset(block)) for block in blocks)
 
 
 @lru_cache(maxsize=65536)

@@ -24,7 +24,8 @@ one, so every emitted proof passes the sequence-literal checker.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import ablg_oracle, lg_oracle
 from .terms import (
@@ -44,7 +45,6 @@ from .terms import (
     parse_sequent,
     print_sequent,
     print_term,
-    sequent_complexity,
 )
 
 # rule names (stable strings; these appear in proof JSON)
@@ -137,6 +137,29 @@ _RULES: dict[Theory, frozenset[str]] = {
 
 def allowed_rules(theory: Theory) -> frozenset[str]:
     return _RULES[theory]
+
+
+class ContextRule(NamedTuple):
+    side: str  # "left" or "right": the side of the principal formula
+    connective: type  # the principal formula's class
+    parts: Callable  # principal -> per premise, the subterms that replace it
+
+
+# The context rules: each premise replaces one principal occurrence, in place,
+# by some of its immediate subterms and keeps everything else.  The checker,
+# the three search generators, commutative emission and cut elimination all
+# read these shapes from here.
+CONTEXT_RULES: dict[str, ContextRule] = {
+    E_LEFT: ContextRule("left", ConstE, lambda t: ((),)),
+    F_RIGHT: ContextRule("right", ConstF, lambda t: ((),)),
+    FUSE_LEFT: ContextRule("left", Fuse, lambda t: ((t.l, t.r),)),
+    MEET_LEFT_1: ContextRule("left", Meet, lambda t: ((t.l,),)),
+    MEET_LEFT_2: ContextRule("left", Meet, lambda t: ((t.r,),)),
+    JOIN_RIGHT_1: ContextRule("right", Join, lambda t: ((t.l,),)),
+    JOIN_RIGHT_2: ContextRule("right", Join, lambda t: ((t.r,),)),
+    JOIN_LEFT: ContextRule("left", Join, lambda t: ((t.l,), (t.r,))),
+    MEET_RIGHT: ContextRule("right", Meet, lambda t: ((t.l,), (t.r,))),
+}
 
 
 @dataclass(frozen=True)
@@ -281,49 +304,34 @@ def _analyses(node: Proof, theory: Theory):
                     }
         return
 
+    spec = CONTEXT_RULES.get(rule)
+    if spec is not None:
+        left = spec.side == "left"
+        if not (left or multiple or single_right_ok()):
+            return
+        side, fixed = (L, R) if left else (R, L)
+        goals = []  # each premise's side of the principal
+        for p in prem:
+            pL, pR = p.conclusion.left, p.conclusion.right
+            if (pR if left else pL) != fixed:
+                return
+            goals.append(pL if left else pR)
+        for i, t in enumerate(side):
+            if not isinstance(t, spec.connective):
+                continue
+            subs = spec.parts(t)
+            if len(subs) != len(goals):
+                return
+            for g, sub in zip(goals, subs):
+                if g != side[:i] + sub + side[i + 1 :]:
+                    break
+            else:
+                yield {"i": i}
+        return
+
     if len(prem) == 1:
         (p,) = prem
         pL, pR = p.conclusion.left, p.conclusion.right
-
-        if rule == E_LEFT:
-            if pR == R:
-                for i, t in enumerate(L):
-                    if t == E and pL == _without(L, i):
-                        yield {"i": i}
-            return
-
-        if rule == F_RIGHT:
-            if pL == L:
-                for i, t in enumerate(R):
-                    if isinstance(t, ConstF) and pR == _without(R, i):
-                        yield {"i": i}
-            return
-
-        if rule == FUSE_LEFT:
-            if pR == R:
-                for i, t in enumerate(L):
-                    if isinstance(t, Fuse) and pL == L[:i] + (t.l, t.r) + L[i + 1 :]:
-                        yield {"i": i}
-            return
-
-        if rule in (MEET_LEFT_1, MEET_LEFT_2):
-            if pR == R:
-                for i, t in enumerate(L):
-                    if isinstance(t, Meet):
-                        sub = t.l if rule == MEET_LEFT_1 else t.r
-                        if pL == L[:i] + (sub,) + L[i + 1 :]:
-                            yield {"i": i}
-            return
-
-        if rule in (JOIN_RIGHT_1, JOIN_RIGHT_2):
-            if pL == L:
-                for i, t in enumerate(R):
-                    if isinstance(t, Join):
-                        sub = t.l if rule == JOIN_RIGHT_1 else t.r
-                        if pR == R[:i] + (sub,) + R[i + 1 :]:
-                            if multiple or (single_right_ok() and i == 0):
-                                yield {"i": i}
-            return
 
         if rule == LDIV_RIGHT:
             # single-conclusion: G => s \ t  from  s, G => t
@@ -412,23 +420,6 @@ def _analyses(node: Proof, theory: Theory):
                         for j, t in enumerate(p2L):
                             if t == s and L == p2L[:j] + p1L + p2L[j + 1 :]:
                                 yield {"j": j}
-            return
-
-        if rule == JOIN_LEFT:
-            if p1R == R and p2R == R:
-                for i, t in enumerate(L):
-                    if isinstance(t, Join):
-                        if p1L == L[:i] + (t.l,) + L[i + 1 :] and p2L == L[:i] + (t.r,) + L[i + 1 :]:
-                            yield {"i": i}
-            return
-
-        if rule == MEET_RIGHT:
-            if p1L == L and p2L == L:
-                for i, t in enumerate(R):
-                    if isinstance(t, Meet):
-                        if p1R == R[:i] + (t.l,) + R[i + 1 :] and p2R == R[:i] + (t.r,) + R[i + 1 :]:
-                            if multiple or (single_right_ok() and i == 0):
-                                yield {"i": i}
             return
 
         if rule == FUSE_RIGHT:
@@ -560,6 +551,20 @@ class _Ctx:
     memo: dict
     nodes: int = 0
     max_depth: int = 0
+    rules: frozenset = field(init=False)
+    multiset: bool = field(init=False)
+    alts: Callable = field(init=False)  # the theory's alternative generator
+
+    def __post_init__(self):
+        th = self.theory
+        self.rules = allowed_rules(th)
+        self.multiset = th.commutative
+        if th.multiple_conclusion:
+            self.alts = _alts_ca
+        elif th.commutative:
+            self.alts = _alts_multiset
+        else:
+            self.alts = _alts_sequence
 
     def oracle_e(self, terms: tuple[Term, ...]) -> bool:
         return oracle_valid(self.theory.oracle, Sequent(terms, (E,)))
@@ -628,14 +633,78 @@ def _contiguous_blocks(n: int):
 
 # Alternative generators yield (rule, data, premise_goals).  Goals are
 # (left, right) pairs; multiset modes keep both sides sorted.  Steps keep the
-# premise goals, so sequence-mode data carries only oracle certificates.
+# premise goals, so sequence-mode data carries only oracle certificates.  The
+# order of the alternatives decides which proof is found, so each generator
+# spells out its own order.
+
+
+def _first_positions(seq: tuple) -> list[int]:
+    """Positions of the first occurrence of each distinct term."""
+    seen: set[Term] = set()
+    return [i for i, t in enumerate(seq) if not (t in seen or seen.add(t))]
+
+
+def _stage(*groups: tuple[str, ...]) -> tuple[dict, dict]:
+    """Context rules in the order a generator tries them: group by group, and
+    within a group each rule in turn at each principal position.  Compiled to
+    a map per side from principal class to (group index, [(rule, parts)])."""
+    by_side: tuple[dict, dict] = ({}, {})
+    for g, group in enumerate(groups):
+        for rule in group:
+            spec = CONTEXT_RULES[rule]
+            entry = by_side[spec.side == "right"].setdefault(spec.connective, (g, []))
+            assert entry[0] == g and spec.side == CONTEXT_RULES[group[0]].side
+            entry[1].append((rule, spec.parts))
+    return by_side
+
+
+_FIRST = _stage((E_LEFT,), (FUSE_LEFT,), (MEET_LEFT_1, MEET_LEFT_2), (JOIN_RIGHT_1, JOIN_RIGHT_2))
+_BRANCHING = _stage((JOIN_LEFT,), (MEET_RIGHT,))
+_CA_FIRST = _stage((E_LEFT,), (F_RIGHT,), (FUSE_LEFT, MEET_LEFT_1, MEET_LEFT_2))
+_CA_JOIN_RIGHT = _stage((JOIN_RIGHT_1, JOIN_RIGHT_2))
+_CA_JOIN_LEFT = _stage((JOIN_LEFT,))
+_CA_MEET_RIGHT = _stage((MEET_RIGHT,))
+
+
+def _context_alts(ctx: _Ctx, goal, stage: tuple[dict, dict], left_positions, right_positions):
+    """Alternatives of the stage's context rules that the theory has, with
+    principals at the given positions of each side."""
+    L, R = goal
+    left_classes, right_classes = stage
+    hits = []
+    for i in left_positions:
+        entry = left_classes.get(type(L[i]))
+        if entry is not None:
+            hits.append((entry[0], i, True, entry[1]))
+    for i in right_positions:
+        entry = right_classes.get(type(R[i]))
+        if entry is not None:
+            hits.append((entry[0], i, False, entry[1]))
+    if len(hits) > 1:
+        hits.sort()  # by group, then position; no two hits share both
+    for _, i, left, rules in hits:
+        side = L if left else R
+        t = side[i]
+        for rule, parts in rules:
+            if rule not in ctx.rules:
+                continue
+            goals = []
+            for sub in parts(t):
+                if not ctx.multiset:
+                    new = side[:i] + sub + side[i + 1 :]
+                elif sub:
+                    new = _sort_ms(side[:i] + side[i + 1 :] + sub)
+                else:
+                    new = side[:i] + side[i + 1 :]
+                goals.append((new, R) if left else (L, new))
+            yield rule, {"principal": t}, goals
 
 
 def _alts_sequence(goal, ctx: _Ctx):
     L, R = goal
     u = R[0]
     th = ctx.theory
-    rules = allowed_rules(th)
+    rules = ctx.rules
 
     # axioms
     if len(L) == 1 and L[0] == u:
@@ -650,20 +719,8 @@ def _alts_sequence(goal, ctx: _Ctx):
                 yield GENAX_ID, {"certs": (Sequent(L[:i], (E,)), Sequent(L[i + 1 :], (E,)))}, []
 
     # single-premise rules
-    for i, t in enumerate(L):
-        if t == E:
-            yield E_LEFT, {}, [(_without(L, i), R)]
-    if FUSE_LEFT in rules:
-        for i, t in enumerate(L):
-            if isinstance(t, Fuse):
-                yield FUSE_LEFT, {}, [(L[:i] + (t.l, t.r) + L[i + 1 :], R)]
-    for i, t in enumerate(L):
-        if isinstance(t, Meet) and MEET_LEFT_1 in rules:
-            yield MEET_LEFT_1, {}, [(L[:i] + (t.l,) + L[i + 1 :], R)]
-            yield MEET_LEFT_2, {}, [(L[:i] + (t.r,) + L[i + 1 :], R)]
-    if isinstance(u, Join) and JOIN_RIGHT_1 in rules:
-        yield JOIN_RIGHT_1, {}, [(L, (u.l,))]
-        yield JOIN_RIGHT_2, {}, [(L, (u.r,))]
+    every = range(len(L))
+    yield from _context_alts(ctx, goal, _FIRST, every, (0,))
     if isinstance(u, LDiv):
         yield LDIV_RIGHT, {}, [((u.l,) + L, (u.r,))]
     if isinstance(u, RDiv):
@@ -679,14 +736,7 @@ def _alts_sequence(goal, ctx: _Ctx):
                 yield rule, {"certs": (Sequent(block, (E,)),)}, [(L[:i] + L[j:], R)]
 
     # branching rules
-    for i, t in enumerate(L):
-        if isinstance(t, Join) and JOIN_LEFT in rules:
-            yield JOIN_LEFT, {}, [
-                (L[:i] + (t.l,) + L[i + 1 :], R),
-                (L[:i] + (t.r,) + L[i + 1 :], R),
-            ]
-    if isinstance(u, Meet) and MEET_RIGHT in rules:
-        yield MEET_RIGHT, {}, [(L, (u.l,)), (L, (u.r,))]
+    yield from _context_alts(ctx, goal, _BRANCHING, every, (0,))
     for i, t in enumerate(L):
         if isinstance(t, LDiv):
             for k in range(i + 1):
@@ -709,7 +759,7 @@ def _alts_multiset(goal, ctx: _Ctx):
     L, R = goal  # L sorted; R length 1
     u = R[0]
     th = ctx.theory
-    rules = allowed_rules(th)
+    rules = ctx.rules
 
     if len(L) == 1 and L[0] == u:
         yield ID, {}, []
@@ -726,23 +776,8 @@ def _alts_multiset(goal, ctx: _Ctx):
                 if ctx.oracle_e(rest):
                     yield GENAX_ID, {"u": t, "rest": rest}, []
 
-    seen: set[Term] = set()
-    distinct = [t for t in L if not (t in seen or seen.add(t))]
-
-    for t in distinct:
-        if t == E:
-            yield E_LEFT, {}, [(_ms_remove(L, t), R)]
-    if FUSE_LEFT in rules:
-        for t in distinct:
-            if isinstance(t, Fuse):
-                yield FUSE_LEFT, {"principal": t}, [(_sort_ms(_ms_remove(L, t) + (t.l, t.r)), R)]
-    for t in distinct:
-        if isinstance(t, Meet) and MEET_LEFT_1 in rules:
-            yield MEET_LEFT_1, {"principal": t}, [(_sort_ms(_ms_remove(L, t) + (t.l,)), R)]
-            yield MEET_LEFT_2, {"principal": t}, [(_sort_ms(_ms_remove(L, t) + (t.r,)), R)]
-    if isinstance(u, Join) and JOIN_RIGHT_1 in rules:
-        yield JOIN_RIGHT_1, {}, [(L, (u.l,))]
-        yield JOIN_RIGHT_2, {}, [(L, (u.r,))]
+    distinct = _first_positions(L)
+    yield from _context_alts(ctx, goal, _FIRST, distinct, (0,))
     if isinstance(u, LDiv):
         yield LDIV_RIGHT, {}, [(_sort_ms(L + (u.l,)), (u.r,))]
     if isinstance(u, RDiv):
@@ -750,31 +785,25 @@ def _alts_multiset(goal, ctx: _Ctx):
     if ctx.explicit and th.oracle is not None:
         for block in _submultisets(L):
             if block and ctx.oracle_e(block):
-                yield ABLG_W, {"block": block}, [(_ms_subtract(L, block), R)]
+                data = {"del_l": block, "del_r": (), "certs": (Sequent(block, (E,)),)}
+                yield ABLG_W, data, [(_ms_subtract(L, block), R)]
 
-    for t in distinct:
-        if isinstance(t, Join) and JOIN_LEFT in rules:
-            rest = _ms_remove(L, t)
-            yield JOIN_LEFT, {"principal": t}, [
-                (_sort_ms(rest + (t.l,)), R),
-                (_sort_ms(rest + (t.r,)), R),
-            ]
-    if isinstance(u, Meet) and MEET_RIGHT in rules:
-        yield MEET_RIGHT, {}, [(L, (u.l,)), (L, (u.r,))]
-    for t in distinct:
+    yield from _context_alts(ctx, goal, _BRANCHING, distinct, (0,))
+    for t in (L[i] for i in distinct):
         if isinstance(t, (LDiv, RDiv)):
             rule = LDIV_LEFT if isinstance(t, LDiv) else RDIV_LEFT
             s_aux = t.l if isinstance(t, LDiv) else t.r
             t_sub = t.r if isinstance(t, LDiv) else t.l
             rest = _ms_remove(L, t)
             for sub in _submultisets(rest):
-                yield rule, {"principal": t, "sub": sub}, [
+                yield rule, {"principal": t, "sub_l": sub, "sub_r": ()}, [
                     (sub, (s_aux,)),
                     (_sort_ms(_ms_subtract(rest, sub) + (t_sub,)), R),
                 ]
     if isinstance(u, Fuse) and FUSE_RIGHT in rules:
         for sub in _submultisets(L):
-            yield FUSE_RIGHT, {"sub": sub}, [(sub, (u.l,)), (_ms_subtract(L, sub), (u.r,))]
+            data = {"principal": u, "sub_l": sub, "sub_r": ()}
+            yield FUSE_RIGHT, data, [(sub, (u.l,)), (_ms_subtract(L, sub), (u.r,))]
 
 
 def _alts_ca(goal, ctx: _Ctx):
@@ -788,28 +817,11 @@ def _alts_ca(goal, ctx: _Ctx):
     if L == (f,) and not R:
         yield F_LEFT, {}, []
 
-    seenL: set[Term] = set()
-    distinctL = [t for t in L if not (t in seenL or seenL.add(t))]
-    seenR: set[Term] = set()
-    distinctR = [t for t in R if not (t in seenR or seenR.add(t))]
-
-    for t in distinctL:
-        if t == E:
-            yield E_LEFT, {}, [(_ms_remove(L, t), R)]
-    for t in distinctR:
-        if t == f:
-            yield F_RIGHT, {}, [(L, _ms_remove(R, t))]
-    for t in distinctL:
-        if isinstance(t, Fuse):
-            yield FUSE_LEFT, {"principal": t}, [(_sort_ms(_ms_remove(L, t) + (t.l, t.r)), R)]
-        if isinstance(t, Meet):
-            yield MEET_LEFT_1, {"principal": t}, [(_sort_ms(_ms_remove(L, t) + (t.l,)), R)]
-            yield MEET_LEFT_2, {"principal": t}, [(_sort_ms(_ms_remove(L, t) + (t.r,)), R)]
-    for t in distinctR:
-        if isinstance(t, Join):
-            rest = _ms_remove(R, t)
-            yield JOIN_RIGHT_1, {"principal": t}, [(L, _sort_ms(rest + (t.l,)))]
-            yield JOIN_RIGHT_2, {"principal": t}, [(L, _sort_ms(rest + (t.r,)))]
+    distinctL, distinctR = _first_positions(L), _first_positions(R)
+    yield from _context_alts(ctx, goal, _CA_FIRST, distinctL, distinctR)
+    for i in distinctR:
+        t = R[i]
+        yield from _context_alts(ctx, goal, _CA_JOIN_RIGHT, (), (i,))
         if isinstance(t, LDiv):
             rest = _ms_remove(R, t)
             yield ARROW_RIGHT, {"principal": t}, [(_sort_ms(L + (t.l,)), _sort_ms(rest + (t.r,)))]
@@ -824,20 +836,10 @@ def _alts_ca(goal, ctx: _Ctx):
                     (_ms_subtract(L, dl), _ms_subtract(R, dr))
                 ]
 
-    for t in distinctL:
-        if isinstance(t, Join):
-            rest = _ms_remove(L, t)
-            yield JOIN_LEFT, {"principal": t}, [
-                (_sort_ms(rest + (t.l,)), R),
-                (_sort_ms(rest + (t.r,)), R),
-            ]
-    for t in distinctR:
-        if isinstance(t, Meet):
-            rest = _ms_remove(R, t)
-            yield MEET_RIGHT, {"principal": t}, [
-                (L, _sort_ms(rest + (t.l,))),
-                (L, _sort_ms(rest + (t.r,))),
-            ]
+    yield from _context_alts(ctx, goal, _CA_JOIN_LEFT, distinctL, ())
+    for i in distinctR:
+        t = R[i]
+        yield from _context_alts(ctx, goal, _CA_MEET_RIGHT, (), (i,))
         if isinstance(t, Fuse):
             restR = _ms_remove(R, t)
             for sl in _submultisets(L):
@@ -846,7 +848,7 @@ def _alts_ca(goal, ctx: _Ctx):
                         (sl, _sort_ms(sr + (t.l,))),
                         (_ms_subtract(L, sl), _sort_ms(_ms_subtract(restR, sr) + (t.r,))),
                     ]
-    for t in distinctL:
+    for t in (L[i] for i in distinctL):
         if isinstance(t, LDiv):
             restL = _ms_remove(L, t)
             for sl in _submultisets(restL):
@@ -864,14 +866,7 @@ def _prove(goal, ctx: _Ctx, depth: int):
         return memo[goal]
     ctx.nodes += 1
     ctx.max_depth = max(ctx.max_depth, depth)
-    th = ctx.theory
-    if th.multiple_conclusion:
-        alts = _alts_ca(goal, ctx)
-    elif th.commutative:
-        alts = _alts_multiset(goal, ctx)
-    else:
-        alts = _alts_sequence(goal, ctx)
-    for rule, data, premise_goals in alts:
+    for rule, data, premise_goals in ctx.alts(goal, ctx):
         premises = []
         for g in premise_goals:
             sub = _prove(g, ctx, depth + 1)
@@ -932,178 +927,83 @@ def _emit_sequence(step: _Step, goal, oracle: str | None) -> Proof:
     return Proof(concl, step.rule, premises, certs)
 
 
-def _emit_multiset(step: _Step, target_left: tuple, target_right: tuple) -> Proof:
-    """Literal proof for the commutative single-conclusion modes."""
-    rule, data = step.rule, step.data
-    R = target_right
-    u = R[0]
+def _emit_commutative(step: _Step, target_left: tuple, target_right: tuple) -> Proof:
+    """Literal proof for the commutative modes, whose goals are sorted multisets.
 
-    if rule in (ID, E_RIGHT):
-        return Proof(Sequent(target_left, R), rule)
+    Each node is built in a convenient order; exchange steps below it then
+    rewrite its conclusion into the target order.
+    """
+    rule, data = step.rule, step.data
+    TL, TR = target_left, target_right
+    emit = _emit_commutative
+
+    if rule in (ID, E_RIGHT, F_LEFT):
+        return Proof(Sequent(TL, TR), rule)
+    spec = CONTEXT_RULES.get(rule)
+    if spec is not None:
+        t = data["principal"]
+        left = spec.side == "left"
+        side = TL if left else TR
+        i = side.index(t)
+        premises = []
+        for q, sub in zip(step.premises, spec.parts(t)):
+            new = side[:i] + sub + side[i + 1 :]
+            premises.append(emit(q, new, TR) if left else emit(q, TL, new))
+        return Proof(Sequent(TL, TR), rule, tuple(premises))
     if rule == GENAX_E:
-        cert = Certificate("ablg", Sequent(target_left, (E,)))
-        return Proof(Sequent(target_left, R), rule, (), (cert,))
+        return Proof(Sequent(TL, TR), rule, (), (Certificate("ablg", Sequent(TL, (E,))),))
     if rule == GENAX_ID:
         t = data["u"]
-        rest = _remove_last(target_left, t)
-        concl_left = rest + (t,)
+        rest = _remove_last(TL, t)
         certs = (
             Certificate("ablg", Sequent(rest, (E,))),
             Certificate("ablg", Sequent((), (E,))),
         )
-        node = Proof(Sequent(concl_left, R), rule, (), certs)
-        return _exchange_chain(node, target_left, "left")
-    if rule == E_LEFT:
-        sub_target = _remove_one(target_left, E)
-        p = _emit_multiset(step.premises[0], sub_target, R)
-        return Proof(Sequent(target_left, R), rule, (p,))
-    if rule == FUSE_LEFT:
-        t = data["principal"]
-        i = target_left.index(t)
-        sub_target = target_left[:i] + (t.l, t.r) + target_left[i + 1 :]
-        p = _emit_multiset(step.premises[0], sub_target, R)
-        return Proof(Sequent(target_left, R), rule, (p,))
-    if rule in (MEET_LEFT_1, MEET_LEFT_2):
-        t = data["principal"]
-        i = target_left.index(t)
-        sub = t.l if rule == MEET_LEFT_1 else t.r
-        p = _emit_multiset(step.premises[0], target_left[:i] + (sub,) + target_left[i + 1 :], R)
-        return Proof(Sequent(target_left, R), rule, (p,))
-    if rule in (JOIN_RIGHT_1, JOIN_RIGHT_2):
-        sub = u.l if rule == JOIN_RIGHT_1 else u.r
-        p = _emit_multiset(step.premises[0], target_left, (sub,))
-        return Proof(Sequent(target_left, R), rule, (p,))
-    if rule == LDIV_RIGHT:
-        p = _emit_multiset(step.premises[0], (u.l,) + target_left, (u.r,))
-        return Proof(Sequent(target_left, R), rule, (p,))
-    if rule == RDIV_RIGHT:
-        p = _emit_multiset(step.premises[0], target_left + (u.r,), (u.l,))
-        return Proof(Sequent(target_left, R), rule, (p,))
-    if rule == ABLG_W:
-        block = data["block"]
-        rest_target = _ms_subtract(target_left, block)
-        p = _emit_multiset(step.premises[0], rest_target, R)
-        concl_left = rest_target + block
-        cert = Certificate("ablg", Sequent(block, (E,)))
-        node = Proof(Sequent(concl_left, R), rule, (p,), (cert,))
-        return _exchange_chain(node, target_left, "left")
-    if rule == JOIN_LEFT:
-        t = data["principal"]
-        i = target_left.index(t)
-        p1 = _emit_multiset(step.premises[0], target_left[:i] + (t.l,) + target_left[i + 1 :], R)
-        p2 = _emit_multiset(step.premises[1], target_left[:i] + (t.r,) + target_left[i + 1 :], R)
-        return Proof(Sequent(target_left, R), rule, (p1, p2))
-    if rule == MEET_RIGHT:
-        p1 = _emit_multiset(step.premises[0], target_left, (u.l,))
-        p2 = _emit_multiset(step.premises[1], target_left, (u.r,))
-        return Proof(Sequent(target_left, R), rule, (p1, p2))
-    if rule in (LDIV_LEFT, RDIV_LEFT):
-        t = data["principal"]
-        sub = data["sub"]
-        rest = _ms_subtract(_remove_one(target_left, t), sub)
-        sub_sorted = _sort_ms(sub)
-        s_aux = t.l if rule == LDIV_LEFT else t.r
-        t_sub = t.r if rule == LDIV_LEFT else t.l
-        p1 = _emit_multiset(step.premises[0], sub_sorted, (s_aux,))
-        p2 = _emit_multiset(step.premises[1], (t_sub,) + rest, R)
-        if rule == LDIV_LEFT:
-            concl_left = sub_sorted + (t,) + rest  # G1 empty, G2 = sub, G3 = rest
+        node = Proof(Sequent(rest + (t,), TR), rule, (), certs)
+        return _exchange_chain(node, TL, "left")
+    if rule in (LDIV_RIGHT, RDIV_RIGHT):
+        u = TR[0]
+        if rule == LDIV_RIGHT:
+            p = emit(step.premises[0], (u.l,) + TL, (u.r,))
         else:
-            concl_left = (t,) + sub_sorted + rest  # G1 empty, G2 = sub, G3 = rest
-        node = Proof(Sequent(concl_left, R), rule, (p1, p2))
-        return _exchange_chain(node, target_left, "left")
-    if rule == FUSE_RIGHT:
-        sub = data["sub"]
-        sub_sorted = _sort_ms(sub)
-        rest = _ms_subtract(target_left, sub)
-        p1 = _emit_multiset(step.premises[0], sub_sorted, (u.l,))
-        p2 = _emit_multiset(step.premises[1], rest, (u.r,))
-        node = Proof(Sequent(sub_sorted + rest, R), rule, (p1, p2))
-        return _exchange_chain(node, target_left, "left")
-    raise AssertionError(f"unexpected rule in multiset emission: {rule}")
-
-
-def _emit_ca(step: _Step, target_left: tuple, target_right: tuple) -> Proof:
-    rule, data = step.rule, step.data
-    f = ConstF()
-
-    if rule in (ID, E_RIGHT, F_LEFT):
-        return Proof(Sequent(target_left, target_right), rule)
-    if rule == E_LEFT:
-        p = _emit_ca(step.premises[0], _remove_one(target_left, E), target_right)
-        return Proof(Sequent(target_left, target_right), rule, (p,))
-    if rule == F_RIGHT:
-        p = _emit_ca(step.premises[0], target_left, _remove_one(target_right, f))
-        return Proof(Sequent(target_left, target_right), rule, (p,))
-    if rule == FUSE_LEFT:
-        t = data["principal"]
-        i = target_left.index(t)
-        p = _emit_ca(step.premises[0], target_left[:i] + (t.l, t.r) + target_left[i + 1 :], target_right)
-        return Proof(Sequent(target_left, target_right), rule, (p,))
-    if rule in (MEET_LEFT_1, MEET_LEFT_2):
-        t = data["principal"]
-        i = target_left.index(t)
-        sub = t.l if rule == MEET_LEFT_1 else t.r
-        p = _emit_ca(step.premises[0], target_left[:i] + (sub,) + target_left[i + 1 :], target_right)
-        return Proof(Sequent(target_left, target_right), rule, (p,))
-    if rule in (JOIN_RIGHT_1, JOIN_RIGHT_2):
-        t = data["principal"]
-        i = target_right.index(t)
-        sub = t.l if rule == JOIN_RIGHT_1 else t.r
-        p = _emit_ca(step.premises[0], target_left, target_right[:i] + (sub,) + target_right[i + 1 :])
-        return Proof(Sequent(target_left, target_right), rule, (p,))
+            p = emit(step.premises[0], TL + (u.r,), (u.l,))
+        return Proof(Sequent(TL, TR), rule, (p,))
     if rule == ARROW_RIGHT:
         t = data["principal"]
-        rest_r = _remove_last(target_right, t)
-        p = _emit_ca(step.premises[0], target_left + (t.l,), (t.r,) + rest_r)
-        node = Proof(Sequent(target_left, (t,) + rest_r), rule, (p,))
-        return _exchange_chain(node, target_right, "right")
+        rest_r = _remove_last(TR, t)
+        p = emit(step.premises[0], TL + (t.l,), (t.r,) + rest_r)
+        node = Proof(Sequent(TL, (t,) + rest_r), rule, (p,))
+        return _exchange_chain(node, TR, "right")
+
+    # the remaining rules delete or split sorted sub-multisets of the sides
     if rule == ABLG_W:
         dl, dr = data["del_l"], data["del_r"]
-        rest_l = _ms_subtract(target_left, dl)
-        rest_r = _ms_subtract(target_right, dr)
-        dl_sorted, dr_sorted = _sort_ms(dl), _sort_ms(dr)
-        p = _emit_ca(step.premises[0], rest_l, rest_r)
-        cert = Certificate("ablg", Sequent(dl_sorted, dr_sorted))
-        node = Proof(Sequent(rest_l + dl_sorted, rest_r + dr_sorted), rule, (p,), (cert,))
-        node = _exchange_chain(node, target_left, "left")
-        return _exchange_chain(node, target_right, "right")
-    if rule == JOIN_LEFT:
-        t = data["principal"]
-        i = target_left.index(t)
-        p1 = _emit_ca(step.premises[0], target_left[:i] + (t.l,) + target_left[i + 1 :], target_right)
-        p2 = _emit_ca(step.premises[1], target_left[:i] + (t.r,) + target_left[i + 1 :], target_right)
-        return Proof(Sequent(target_left, target_right), rule, (p1, p2))
-    if rule == MEET_RIGHT:
-        t = data["principal"]
-        i = target_right.index(t)
-        p1 = _emit_ca(step.premises[0], target_left, target_right[:i] + (t.l,) + target_right[i + 1 :])
-        p2 = _emit_ca(step.premises[1], target_left, target_right[:i] + (t.r,) + target_right[i + 1 :])
-        return Proof(Sequent(target_left, target_right), rule, (p1, p2))
-    if rule == FUSE_RIGHT:
-        t = data["principal"]
-        sl, sr = data["sub_l"], data["sub_r"]
-        sl_s, sr_s = _sort_ms(sl), _sort_ms(sr)
-        rest_l = _ms_subtract(target_left, sl)
-        rest_r = _ms_subtract(_remove_one(target_right, t), sr)
-        p1 = _emit_ca(step.premises[0], sl_s, (t.l,) + sr_s)
-        p2 = _emit_ca(step.premises[1], rest_l, (t.r,) + rest_r)
-        node = Proof(Sequent(sl_s + rest_l, (t,) + sr_s + rest_r), rule, (p1, p2))
-        node = _exchange_chain(node, target_left, "left")
-        return _exchange_chain(node, target_right, "right")
-    if rule == ARROW_LEFT:
-        t = data["principal"]
-        sl, sr = data["sub_l"], data["sub_r"]
-        sl_s, sr_s = _sort_ms(sl), _sort_ms(sr)
-        rest_l = _ms_subtract(_remove_one(target_left, t), sl)
-        rest_r = _ms_subtract(target_right, sr)
-        p1 = _emit_ca(step.premises[0], sl_s, (t.l,) + sr_s)
-        p2 = _emit_ca(step.premises[1], (t.r,) + rest_l, rest_r)
-        # G1 empty: conclusion left = t, G2, G3 ; right = D1, D2
-        node = Proof(Sequent((t,) + sl_s + rest_l, rest_r + sr_s), rule, (p1, p2))
-        node = _exchange_chain(node, target_left, "left")
-        return _exchange_chain(node, target_right, "right")
-    raise AssertionError(f"unexpected rule in ca emission: {rule}")
+        rest_l, rest_r = _ms_subtract(TL, dl), _ms_subtract(TR, dr)
+        p = emit(step.premises[0], rest_l, rest_r)
+        certs = tuple(Certificate("ablg", c) for c in data["certs"])
+        node = Proof(Sequent(rest_l + dl, rest_r + dr), rule, (p,), certs)
+    elif rule == FUSE_RIGHT:
+        t, sl, sr = data["principal"], data["sub_l"], data["sub_r"]
+        rest_l = _ms_subtract(TL, sl)
+        rest_r = _ms_subtract(_remove_one(TR, t), sr)
+        p1 = emit(step.premises[0], sl, (t.l,) + sr)
+        p2 = emit(step.premises[1], rest_l, (t.r,) + rest_r)
+        node = Proof(Sequent(sl + rest_l, (t,) + sr + rest_r), rule, (p1, p2))
+    elif rule in (LDIV_LEFT, RDIV_LEFT, ARROW_LEFT):
+        # G1 empty: the principal and G2 = sub_l lead, in the schema's order,
+        # and G3 = the rest follows
+        t, sl, sr = data["principal"], data["sub_l"], data["sub_r"]
+        aux, kept = (t.r, t.l) if rule == RDIV_LEFT else (t.l, t.r)
+        rest_l = _ms_subtract(_remove_one(TL, t), sl)
+        rest_r = _ms_subtract(TR, sr)
+        p1 = emit(step.premises[0], sl, (aux,) + sr)
+        p2 = emit(step.premises[1], (kept,) + rest_l, rest_r)
+        left = sl + (t,) + rest_l if rule == LDIV_LEFT else (t,) + sl + rest_l
+        node = Proof(Sequent(left, rest_r + sr), rule, (p1, p2))
+    else:
+        raise AssertionError(f"unexpected rule in commutative emission: {rule}")
+    node = _exchange_chain(node, TL, "left")
+    return _exchange_chain(node, TR, "right")
 
 
 # --- entry points ------------------------------------------------------------------
@@ -1126,10 +1026,8 @@ def _run_search(s: Sequent, theory: Theory, explicit: bool) -> SearchOutcome:
     step = _prove(goal, ctx, 0)
     if step is None:
         return SearchOutcome(False, None, ctx.nodes, ctx.max_depth)
-    if theory.multiple_conclusion:
-        proof = _emit_ca(step, s.left, s.right)
-    elif theory.commutative:
-        proof = _emit_multiset(step, s.left, s.right)
+    if theory.commutative:
+        proof = _emit_commutative(step, s.left, s.right)
     else:
         proof = _emit_sequence(step, goal, theory.oracle)
     return SearchOutcome(True, proof, ctx.nodes, ctx.max_depth)

@@ -10,12 +10,12 @@ from icrl.ablg_oracle import (
     ablg_valid_sequent,
     eval_int,
     find_integer_refutation,
-    gordan_infeasible,
     strict_infeasible,
 )
 from icrl import ablg_oracle, lg_oracle
 from icrl.corpus import gen_sequent, gen_term
 from icrl.terms import Sequent, Theory, Var, parse_sequent, parse_term
+from tests_helpers_oracles import gordan_infeasible
 
 x, y = Var("x"), Var("y")
 

@@ -8,7 +8,7 @@ import itertools
 import random
 
 from icrl import ablg_oracle, lg_oracle
-from icrl.ablg_oracle import LinearForm, StrictSystem, gordan_infeasible, strict_infeasible
+from icrl.ablg_oracle import LinearForm, StrictSystem, strict_infeasible
 from icrl.corpus import gen_proof_with_cuts, gen_sequent, gen_term
 from icrl.cutelim import eliminate_cuts
 from icrl.finmod import check_property, enumerate_algebras, refute
@@ -24,7 +24,7 @@ from icrl.terms import (
     print_term,
     sequent_complexity,
 )
-from tests_helpers_oracles import bfs_identity_oracle
+from tests_helpers_oracles import bfs_identity_oracle, gordan_infeasible
 
 
 def _report(n, text):
@@ -179,8 +179,9 @@ def test_criterion_09_oracle_internal_duality():
     for _ in range(250):
         gens = set()
         for _ in range(rng.randint(1, 3)):
-            w = lg_oracle.reduce_word(
-                [(rng.choice("xy"), rng.choice((1, -1))) for _ in range(rng.randint(1, 4))]
+            w = lg_oracle.concat_words(
+                (),
+                [(rng.choice("xy"), rng.choice((1, -1))) for _ in range(rng.randint(1, 4))],
             )
             if w:
                 gens.add(w)

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import icrl
 from icrl import ablg_oracle, lg_oracle
 from icrl.corpus import gen_term
 from icrl.lg_oracle import (
@@ -9,7 +13,6 @@ from icrl.lg_oracle import (
     concat_words,
     lg_valid_leq_e,
     lg_valid_sequent,
-    reduce_word,
     semigroup_contains_identity,
     to_gnf,
 )
@@ -50,7 +53,7 @@ def test_semigroup_contains_identity_examples():
     assert semigroup_contains_identity(frozenset({wx, wX})) is True
     assert semigroup_contains_identity(frozenset({wx})) is False
     # x^-1 and y x y^-1: balanced products stay reduced-nontrivial
-    conj = reduce_word((("y", 1), ("x", 1), ("y", -1)))
+    conj = concat_words((), (("y", 1), ("x", 1), ("y", -1)))
     assert semigroup_contains_identity(frozenset({wX, conj})) is False
     assert bfs_identity_oracle({wX, conj}, 8) is False
 
@@ -100,7 +103,7 @@ def test_free_reduction_confluence_random_orders():
 
     for _ in range(300):
         letters = [(rng.choice("xyz"), rng.choice((1, -1))) for _ in range(rng.randint(0, 12))]
-        expect = reduce_word(letters)
+        expect = concat_words((), letters)
         for _ in range(3):
             assert reduce_random(letters) == expect
 
@@ -109,7 +112,7 @@ def _random_generator_set(rng):
     gens = set()
     for _ in range(rng.randint(1, 4)):
         letters = [(rng.choice("xy"), rng.choice((1, -1))) for _ in range(rng.randint(1, 4))]
-        w = reduce_word(letters)
+        w = concat_words((), letters)
         if w:
             gens.add(w)
     return gens or {wx}
@@ -174,3 +177,32 @@ def test_clear_caches_empties_the_sequent_cache():
     assert lg_valid_sequent.cache_info().hits >= 1
     lg_oracle.clear_caches()
     assert lg_valid_sequent.cache_info().currsize == 0
+
+
+_SATURATION_COUNTS = """
+import random
+from icrl import lg_oracle
+from icrl.corpus import gen_term
+
+rng = random.Random(4)
+for _ in range(300):
+    try:
+        lg_oracle.lg_valid_leq_e(gen_term(rng, num_vars=3, depth=4))
+    except lg_oracle.GnfSizeError:
+        pass
+print(lg_oracle.semigroup_contains_identity.cache_info())
+"""
+
+
+def test_saturation_calls_do_not_depend_on_the_hash_seed():
+    # meet blocks are frozensets; checking them in iteration order made the
+    # short-circuit, and so the saturation calls, follow PYTHONHASHSEED
+    src = os.path.dirname(os.path.dirname(icrl.__file__))
+    counts = set()
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        cmd = [sys.executable, "-c", _SATURATION_COUNTS]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        counts.add(proc.stdout)
+    assert len(counts) == 1, counts

@@ -57,6 +57,24 @@ def test_ca_cut_with_nonempty_right_context():
     assert done >= 12
 
 
+def test_ca_cut_through_arrow_left_with_leading_context():
+    # arrow-left with formulas before its principal one (a non-empty G1) is
+    # schema-valid; cut elimination must still find the principal formula
+    from icrl.prover import ARROW_LEFT, ID, Proof
+    from icrl.terms import parse_term
+
+    th = Theory.CA
+    x, y, z = (parse_term(v, th) for v in "xyz")
+    t = parse_term("x -> z", th)
+    rest = search(Sequent((y, z), (z, y)), th).proof
+    d1 = Proof(Sequent((y, t, x), (z, y)), ARROW_LEFT, (Proof(Sequent((x,), (x,)), ID), rest))
+    p = make_cut(d1, Proof(Sequent((z,), (z,)), ID), 0)
+    assert check_proof(p, th, allow_cut=True)
+    q = eliminate_cuts(p, th)
+    assert q.conclusion == p.conclusion
+    assert check_proof(q, th, allow_cut=False)
+
+
 def test_cut_elimination_on_explicit_formulation_proofs():
     rng = random.Random(808)
     done = 0

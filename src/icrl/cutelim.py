@@ -1,17 +1,19 @@
 """Cut elimination as an executable proof transformation.
 
 Topmost cuts are reduced first: premises are made cut-free, then the cut is
-eliminated by induction on (cut-formula complexity, height): parametric
-steps permute the cut into a premise, principal pairs reduce to cuts on
-proper subterms, and the oracle-weakening rule has its three special cases,
-including the one where the cut formula sits inside a validated block and
-the side-condition is widened (the oracle is re-queried for the fresh
-certificate).
+eliminated by induction on (cut-formula complexity, height).  When the cut
+formula is not principal in a premise's last rule, one parametric step per
+side permutes the cut upward: `_locate` says, for every rule family, which
+premises keep the formula and where.  Principal pairs reduce to cuts on
+proper subterms.  When a weakening deleted the cut formula, the validated
+block is widened instead and the oracle is re-queried for the fresh
+certificate.
 
-Single-conclusion reductions rebuild every node literally with exact zone
-arithmetic.  The multiple-conclusion mode rebuilds nodes in a canonical
-layout and then restores the required order with explicit exchange steps,
-which its calculus provides anyway.
+Single-conclusion reductions rebuild every node literally with the target
+conclusion.  The multiple-conclusion mode rebuilds nodes in a canonical
+layout (split rules through `prover.assemble_split`) and then restores the
+required order with explicit exchange steps, which its calculus provides
+anyway.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ from .prover import (
     ABLG_W,
     ARROW_LEFT,
     ARROW_RIGHT,
+    AXIOMS,
+    CONTEXT_RULES,
     CUT,
     E_LEFT,
     E_RIGHT,
     EL,
-    ER,
+    EXCHANGE,
     F_LEFT,
     F_RIGHT,
     FUSE_LEFT,
@@ -36,21 +40,20 @@ from .prover import (
     JOIN_RIGHT_1,
     JOIN_RIGHT_2,
     LDIV_LEFT,
-    LDIV_RIGHT,
     LG_W,
     MEET_LEFT_1,
     MEET_LEFT_2,
     MEET_RIGHT,
-    RDIV_LEFT,
-    RDIV_RIGHT,
+    SPLIT_RULES,
     W,
-    CONTEXT_RULES,
+    WEAKENING,
     Certificate,
     Proof,
     _exchange_chain,
     _remove_one,
     _without,
     analyze_node,
+    assemble_split,
     check_proof_detailed,
     oracle_valid,
 )
@@ -61,34 +64,67 @@ class CutEliminationError(RuntimeError):
     pass
 
 
-def _ins(seq: tuple, i: int, block: tuple) -> tuple:
-    return seq[:i] + block + seq[i:]
-
-
 def _requery(theory: Theory, s: Sequent) -> Certificate:
     if not oracle_valid(theory.oracle, s):
         raise CutEliminationError(f"widened side-condition unexpectedly refuted: {s}")
     return Certificate(theory.oracle, s)
 
 
-def _map_swap(pos: int, a: int, b: int, c: int) -> int:
-    """Conclusion position -> premise position across an exchange of
-    blocks [a,b) and [b,c)."""
-    if a <= pos < b:
-        return pos + (c - b)
-    if b <= pos < c:
-        return pos - (b - a)
-    return pos
+def _is_principal(node: Proof, analysis: dict, side: str, pos: int) -> bool:
+    spec = CONTEXT_RULES.get(node.rule) or SPLIT_RULES.get(node.rule)
+    return spec is not None and spec.side == side and analysis["i"] == pos
 
 
-def _shift(node: Proof, i: int, pos: int, side: str) -> int:
-    """How far node's context rule, its principal at i, moves a tracked
-    position on `side` from the conclusion to the premises."""
-    spec = CONTEXT_RULES[node.rule]
-    if spec.side != side or i >= pos:
-        return 0
-    principal = (node.conclusion.left if side == "left" else node.conclusion.right)[i]
-    return len(spec.parts(principal)[0]) - 1
+def _locate(node: Proof, analysis: dict, side: str, pos: int) -> list[tuple[int, int]]:
+    """Where the formula at `pos` on `side` of node's conclusion, which is not
+    its principal formula, sits in node's premises: a (premise, position) pair
+    for each premise that keeps it, none when a weakening deletes it."""
+    rule, left = node.rule, side == "left"
+    if rule in EXCHANGE:
+        if (rule == EL) == left:  # the blocks [a, b) and [b, c) swap places
+            a, b, c = analysis["a"], analysis["b"], analysis["c"]
+            if a <= pos < b:
+                pos += c - b
+            elif b <= pos < c:
+                pos -= b - a
+        return [(0, pos)]
+    if rule in WEAKENING:
+        kept = node.premises[0].conclusion
+        if "i" not in analysis:  # ca deletes the back of both sides
+            return [(0, pos)] if pos < len(kept.left if left else kept.right) else []
+        i, j = analysis["i"], analysis["j"]
+        if not left or pos < i:
+            return [(0, pos)]
+        return [(0, pos - (j - i))] if pos >= j else []
+    spec = CONTEXT_RULES.get(rule)
+    if spec is not None:
+        i = analysis["i"]
+        if spec.side != side or pos < i:
+            return [(k, pos) for k in range(len(node.premises))]
+        principal = (node.conclusion.left if left else node.conclusion.right)[i]
+        return [(k, pos + len(sub) - 1) for k, sub in enumerate(spec.parts(principal))]
+    spec = SPLIT_RULES.get(rule)
+    if spec is None:  # axioms
+        return []
+    if len(node.premises) == 1:  # aux joins the left side at its ctx end
+        return [(0, pos + (left and spec.ctx == "front"))]
+    first = node.premises[0].conclusion
+    if left:
+        start, n = analysis["g"], len(first.left)
+    else:
+        start, n = analysis["d"], len(first.right) - 1
+    if start <= pos < start + n:  # premise 1's context; on the right it follows aux
+        return [(0, pos - start + (not left))]
+    return [(1, pos - n if pos >= start else pos)]
+
+
+def _reduce_premises(node: Proof, analysis: dict, side: str, pos: int, reduce) -> tuple:
+    """node's premises, each one that keeps the tracked formula replaced by
+    reduce(premise, the formula's position there)."""
+    premises = list(node.premises)
+    for k, at in _locate(node, analysis, side, pos):
+        premises[k] = reduce(premises[k], at)
+    return tuple(premises)
 
 
 def eliminate_cuts(p: Proof, theory: Theory) -> Proof:
@@ -120,7 +156,8 @@ def _wrap_insert(proof: Proof, block: tuple, at: int, theory: Theory) -> Proof:
         return proof
     rule = LG_W if theory.oracle == "lg" else ABLG_W
     cert = _requery(theory, Sequent(block, (E,)))
-    concl = Sequent(_ins(proof.conclusion.left, at, block), proof.conclusion.right)
+    L = proof.conclusion.left
+    concl = Sequent(L[:at] + block + L[at:], proof.conclusion.right)
     return Proof(concl, rule, (proof,), (cert,))
 
 
@@ -132,9 +169,7 @@ def _reduce(d1: Proof, d2: Proof, pos: int, th: Theory) -> Proof:
     L2, R2 = d2.conclusion.left, d2.conclusion.right
     assert L2[pos] == s
     target = Sequent(L2[:pos] + G2 + L2[pos + 1 :], R2)
-    delta = len(G2) - 1
-
-    out = _reduce_cases(d1, d2, pos, th, s, G2, L2, R2, target, delta)
+    out = _reduce_cases(d1, d2, pos, th, target)
     if out.conclusion != target:
         raise CutEliminationError(
             f"reduction produced {out.conclusion} instead of {target}"
@@ -142,8 +177,9 @@ def _reduce(d1: Proof, d2: Proof, pos: int, th: Theory) -> Proof:
     return out
 
 
-def _reduce_cases(d1, d2, pos, th, s, G2, L2, R2, target, delta):
-    r1 = d1.rule
+def _reduce_cases(d1, d2, pos, th, target):
+    G2, L2 = d1.conclusion.left, d2.conclusion.left
+    r1, r2 = d1.rule, d2.rule
 
     # -- d1 is the identity axiom
     if r1 == ID:
@@ -155,137 +191,67 @@ def _reduce_cases(d1, d2, pos, th, s, G2, L2, R2, target, delta):
         out = _wrap_insert(d2, G2[i + 1 :], pos + 1, th)
         return _wrap_insert(out, G2[:i], pos, th)
 
-    # -- rules of d1 in which the cut formula is parametric: permute upward
-    if r1 in CONTEXT_RULES and CONTEXT_RULES[r1].side == "left":
-        return Proof(target, r1, tuple(_reduce(q, d2, pos, th) for q in d1.premises))
-    if r1 == LDIV_LEFT:
-        p1, p2 = d1.premises
-        r = _reduce(p2, d2, pos, th)
-        return Proof(target, r1, (p1, r))
-    if r1 == RDIV_LEFT:
-        p1, p2 = d1.premises
-        r = _reduce(p2, d2, pos, th)
-        return Proof(target, r1, (p1, r))
-    if r1 in (W, LG_W, ABLG_W):
-        a = analyze_node(d1, th)
-        i, j = a["i"], a["j"]
-        r = _reduce(d1.premises[0], d2, pos, th)
-        concl = Sequent(_ins(r.conclusion.left, pos + i, G2[i:j]), target.right)
-        return Proof(concl, r1, (r,), d1.certificates)
-    if r1 == EL:
-        r = _reduce(d1.premises[0], d2, pos, th)
-        return Proof(target, EL, (r,))
+    # -- the cut formula is parametric in d1's last rule: permute upward
+    if r1 not in AXIOMS:
+        a1 = analyze_node(d1, th)
+        if not _is_principal(d1, a1, "right", 0):  # s stays the premises' only right formula
+            premises = _reduce_premises(d1, a1, "right", 0, lambda q, _: _reduce(q, d2, pos, th))
+            return Proof(target, r1, premises, d1.certificates)
 
-    # -- d1 now ends with a right rule (or unit/generalized-unit axiom);
+    # -- d1 introduced the cut formula (a right rule or a unit axiom);
     #    analyze d2 around the tracked occurrence
-    r2rule = d2.rule
-
-    if r2rule == ID:
+    if r2 == ID:
         return d1
 
-    if r2rule == GENAX_ID:
+    if r2 == GENAX_ID:
         i2 = analyze_node(d2, th)["i"]
         if i2 == pos:
             out = _wrap_insert(d1, L2[:pos], 0, th)
             return _wrap_insert(out, L2[pos + 1 :], pos + len(G2), th)
-        i2p = i2 + (delta if i2 > pos else 0)
+        i2p = i2 + (len(G2) - 1 if i2 > pos else 0)
         certs = (
             _requery(th, Sequent(target.left[:i2p], (E,))),
             _requery(th, Sequent(target.left[i2p + 1 :], (E,))),
         )
         return Proof(target, GENAX_ID, (), certs)
 
-    if r2rule == GENAX_E:
+    if r2 == GENAX_E:
         return Proof(target, GENAX_E, (), (_requery(th, Sequent(target.left, (E,))),))
 
     a2 = analyze_node(d2, th)
+    if _is_principal(d2, a2, "left", pos):
+        return _reduce_principal(d1, d2, a2, pos, th)
+    if r2 in WEAKENING and a2["i"] <= pos < a2["j"]:
+        # the cut formula was deleted: widen the block, keep the premise
+        block = L2[a2["i"] : pos] + G2 + L2[pos + 1 : a2["j"]]
+        certs = () if r2 == W else (_requery(th, Sequent(block, (E,))),)
+        return Proof(target, r2, d2.premises, certs)
+    premises = _reduce_premises(d2, a2, "left", pos, lambda q, at: _reduce(d1, q, at, th))
+    return Proof(target, r2, premises, d2.certificates)
 
-    spec = CONTEXT_RULES.get(r2rule)
-    if spec is not None:
-        i = a2["i"]
-        p = d2.premises
-        if spec.side == "left" and i == pos:  # principal: d1 introduced s on the right
-            if r2rule == E_LEFT:
-                if r1 == E_RIGHT:
-                    return p[0]
-                if r1 == GENAX_E:
-                    return _wrap_insert(p[0], G2, pos, th)
-                raise CutEliminationError(f"unit cut against {r1}")
-            if r2rule == FUSE_LEFT:
-                q1, q2 = d1.premises
-                return _reduce(q1, _reduce(q2, p[0], pos + 1, th), pos, th)
-            if r2rule == JOIN_LEFT:
-                return _reduce(d1.premises[0], p[0 if r1 == JOIN_RIGHT_1 else 1], pos, th)
-            return _reduce(d1.premises[0 if r2rule == MEET_LEFT_1 else 1], p[0], pos, th)
-        posp = pos + _shift(d2, i, pos, "left")
-        return Proof(target, r2rule, tuple(_reduce(d1, q, posp, th) for q in p))
 
-    if r2rule == LDIV_LEFT:
-        i, k = a2["i"], a2["k"]
-        p1, p2 = d2.premises
-        if i == pos:  # principal: s = a \ b
-            q = d1.premises[0]
-            rx = _reduce(p1, q, 0, th)
-            return _reduce(rx, p2, k, th)
-        if k <= pos < i:
-            r = _reduce(d1, p1, pos - k, th)
-            return Proof(target, LDIV_LEFT, (r, p2))
-        posp = pos if pos < k else pos - i + k
-        r = _reduce(d1, p2, posp, th)
-        return Proof(target, LDIV_LEFT, (p1, r))
-
-    if r2rule == RDIV_LEFT:
-        i, j = a2["i"], a2["j"]
-        p1, p2 = d2.premises
-        if i == pos:  # principal: s = b / a
-            q = d1.premises[0]
-            rx = _reduce(p1, q, len(G2), th)
-            return _reduce(rx, p2, pos, th)
-        if i < pos < j:
-            r = _reduce(d1, p1, pos - i - 1, th)
-            return Proof(target, RDIV_LEFT, (r, p2))
-        posp = pos if pos < i else pos - (j - i - 1)
-        r = _reduce(d1, p2, posp, th)
-        return Proof(target, RDIV_LEFT, (p1, r))
-
-    if r2rule == LDIV_RIGHT:
-        r = _reduce(d1, d2.premises[0], pos + 1, th)
-        return Proof(target, LDIV_RIGHT, (r,))
-
-    if r2rule == RDIV_RIGHT:
-        r = _reduce(d1, d2.premises[0], pos, th)
-        return Proof(target, RDIV_RIGHT, (r,))
-
-    if r2rule == FUSE_RIGHT:
-        k = a2["k"]
-        p1, p2 = d2.premises
-        if pos < k:
-            r = _reduce(d1, p1, pos, th)
-            return Proof(target, FUSE_RIGHT, (r, p2))
-        r = _reduce(d1, p2, pos - k, th)
-        return Proof(target, FUSE_RIGHT, (p1, r))
-
-    if r2rule in (W, LG_W, ABLG_W):
-        i, j = a2["i"], a2["j"]
-        p = d2.premises[0]
-        if i <= pos < j:
-            # the cut formula was deleted: widen the block, keep the premise
-            block = L2[i:pos] + G2 + L2[pos + 1 : j]
-            certs = () if r2rule == W else (_requery(th, Sequent(block, (E,))),)
-            return Proof(target, r2rule, (p,), certs)
-        posp = pos - (j - i) if pos >= j else pos
-        r = _reduce(d1, p, posp, th)
-        ip = i + (delta if i > pos else 0)
-        concl = Sequent(_ins(r.conclusion.left, ip, L2[i:j]), target.right)
-        return Proof(concl, r2rule, (r,), d2.certificates)
-
-    if r2rule == EL:
-        a, b, c = a2["a"], a2["b"], a2["c"]
-        posp = _map_swap(pos, a, b, c)
-        r = _reduce(d1, d2.premises[0], posp, th)
-        return Proof(target, EL, (r,))
-
-    raise CutEliminationError(f"unhandled cut: d1 rule {r1}, d2 rule {r2rule}")
+def _reduce_principal(d1, d2, a2, pos, th):
+    """d1's right rule and d2's left rule both introduce the cut formula."""
+    r1, r2 = d1.rule, d2.rule
+    p = d2.premises
+    if r2 == E_LEFT:
+        if r1 == E_RIGHT:
+            return p[0]
+        if r1 == GENAX_E:
+            return _wrap_insert(p[0], d1.conclusion.left, pos, th)
+        raise CutEliminationError(f"unit cut against {r1}")
+    if r2 == FUSE_LEFT:
+        q1, q2 = d1.premises
+        return _reduce(q1, _reduce(q2, p[0], pos + 1, th), pos, th)
+    if r2 == JOIN_LEFT:
+        return _reduce(d1.premises[0], p[0 if r1 == JOIN_RIGHT_1 else 1], pos, th)
+    if r2 in (MEET_LEFT_1, MEET_LEFT_2):
+        return _reduce(d1.premises[0 if r2 == MEET_LEFT_1 else 1], p[0], pos, th)
+    # a residual: cut premise 1 (G => s) into d1's premise, then that into premise 2
+    p1, p2 = p
+    front = r2 == LDIV_LEFT  # s \ t is cut against s, G2 => t; t / s against G2, s => t
+    rx = _reduce(p1, d1.premises[0], 0 if front else len(d1.conclusion.left), th)
+    return _reduce(rx, p2, a2["g"] if front else pos, th)
 
 
 # --- multiple-conclusion reduction ------------------------------------------------
@@ -299,24 +265,6 @@ def _patch(proof: Proof, target: Sequent) -> Proof:
     return out
 
 
-def _front_right(proof: Proof, t) -> Proof:
-    R = proof.conclusion.right
-    i = R.index(t)
-    return _exchange_chain(proof, (t,) + _without(R, i), "right")
-
-
-def _front_left(proof: Proof, t) -> Proof:
-    L = proof.conclusion.left
-    i = L.index(t)
-    return _exchange_chain(proof, (t,) + _without(L, i), "left")
-
-
-def _back_left(proof: Proof, t) -> Proof:
-    L = proof.conclusion.left
-    i = L.index(t)
-    return _exchange_chain(proof, _without(L, i) + (t,), "left")
-
-
 def _reduce_ca(d1: Proof, d2: Proof, lpos: int, rpos: int, th: Theory) -> Proof:
     """Cut-free proof of  L2[:lpos]+L1+L2[lpos+1:] => (R1 - rpos) + R2."""
     L1, R1 = d1.conclusion.left, d1.conclusion.right
@@ -324,169 +272,104 @@ def _reduce_ca(d1: Proof, d2: Proof, lpos: int, rpos: int, th: Theory) -> Proof:
     s = R1[rpos]
     assert L2[lpos] == s
     target = Sequent(L2[:lpos] + L1 + L2[lpos + 1 :], _without(R1, rpos) + R2)
-    out = _reduce_ca_cases(d1, d2, lpos, rpos, th, target)
+    out = _reduce_ca_cases(d1, d2, lpos, rpos, th)
     return _patch(out, target)
 
 
-def _reduce_ca_cases(d1, d2, lpos, rpos, th, target):
-    L2, R2 = d2.conclusion.left, d2.conclusion.right
+def _reduce_ca_cases(d1, d2, lpos, rpos, th):
     r1 = d1.rule
-
     if r1 == ID:
         return d2
-
-    # ---- is the tracked occurrence parametric in d1's last rule?
-    if r1 == EL:
-        return _reduce_ca(d1.premises[0], d2, lpos, rpos, th)
-    if r1 == ER:
-        a = analyze_node(d1, th)
-        return _reduce_ca(d1.premises[0], d2, lpos, _map_swap(rpos, a["a"], a["b"], a["c"]), th)
-    spec = CONTEXT_RULES.get(r1)
-    if spec is not None:
-        i = analyze_node(d1, th)["i"]
-        if spec.side == "right" and i == rpos:
-            return _reduce_ca_d2(d1, d2, lpos, rpos, th, target)
-        rposp = rpos + _shift(d1, i, rpos, "right")
-        rs = [_reduce_ca(q, d2, lpos, rposp, th) for q in d1.premises]
-        return _rebuild(r1, d1, i, rs)
-    if r1 == ARROW_RIGHT:
-        t = d1.conclusion.right[0]
-        if rpos != 0:
-            r = _reduce_ca(d1.premises[0], d2, lpos, rpos, th)
-            return _rb_arrow_right(t, r)
-        return _reduce_ca_d2(d1, d2, lpos, rpos, th, target)
-    if r1 == FUSE_RIGHT:
-        t = d1.conclusion.right[0]
-        q1, q2 = d1.premises
-        if rpos != 0:
-            n_d1 = len(q1.conclusion.right) - 1  # size of D1
-            if rpos - 1 < n_d1:
-                r = _reduce_ca(q1, d2, lpos, rpos, th)
-                return _rb_fuse_right(t, r, q2)
-            r = _reduce_ca(q2, d2, lpos, rpos - n_d1, th)
-            return _rb_fuse_right(t, q1, r)
-        return _reduce_ca_d2(d1, d2, lpos, rpos, th, target)
-    if r1 == ARROW_LEFT:
-        p1, p2 = d1.premises
-        t = d1.conclusion.left[analyze_node(d1, th)["i"]]
-        n_d1 = len(p2.conclusion.right)  # size of D1
-        if rpos < n_d1:
-            r = _reduce_ca(p2, d2, lpos, rpos, th)
-            return _rb_arrow_left(t, p1, r)
-        r = _reduce_ca(p1, d2, lpos, rpos - n_d1 + 1, th)
-        return _rb_arrow_left(t, r, p2)
-    if r1 == ABLG_W:
-        p = d1.premises[0]
-        nl, nr = len(p.conclusion.left), len(p.conclusion.right)
-        zoneL = d1.conclusion.left[nl:]
-        zoneR = d1.conclusion.right[nr:]
-        if rpos < nr:
-            r = _reduce_ca(p, d2, lpos, rpos, th)
-            return _rb_ablg(r, zoneL, zoneR, th)
+    if r1 == E_RIGHT:  # s = e, principal
+        return _reduce_ca_d2(d1, d2, lpos, rpos, th)
+    a1 = analyze_node(d1, th)
+    if r1 in WEAKENING and not _locate(d1, a1, "right", rpos):
         # widening: s sits inside the validated right zone
-        zR = _without(zoneR, rpos - nr)
-        return _rb_ablg(p, zoneL + _without(L2, lpos), zR + R2, th)
-    if r1 == E_RIGHT:
-        # s = e principal; d2 analysis decides
-        return _reduce_ca_d2(d1, d2, lpos, rpos, th, target)
+        p = d1.premises[0]
+        zoneL = d1.conclusion.left[len(p.conclusion.left) :] + _without(d2.conclusion.left, lpos)
+        zoneR = _without(d1.conclusion.right, rpos)[len(p.conclusion.right) :]
+        return _rb_ablg(p, zoneL, zoneR + d2.conclusion.right, th)
+    if _is_principal(d1, a1, "right", rpos):
+        return _reduce_ca_d2(d1, d2, lpos, rpos, th)
+    reduce = lambda q, at: _reduce_ca(q, d2, lpos, at, th)  # noqa: E731
+    return _rebuild(d1, a1, _reduce_premises(d1, a1, "right", rpos, reduce), th)
 
-    raise CutEliminationError(f"unhandled d1 rule in ca reduction: {r1}")
 
-
-def _reduce_ca_d2(d1, d2, lpos, rpos, th, target):
+def _reduce_ca_d2(d1, d2, lpos, rpos, th):
     """d1 is principal at the tracked occurrence; permute through d2."""
     L1, R1 = d1.conclusion.left, d1.conclusion.right
-    r2 = d2.rule
+    r1, r2 = d1.rule, d2.rule
 
     if r2 == ID:
         return d1
-    if r2 == EL:
-        a = analyze_node(d2, th)
-        return _reduce_ca(d1, d2.premises[0], _map_swap(lpos, a["a"], a["b"], a["c"]), rpos, th)
-    if r2 == ER:
-        return _reduce_ca(d1, d2.premises[0], lpos, rpos, th)
     if r2 == F_LEFT:
         # principal f cut: d1 introduced this f on the right
-        if d1.rule != F_RIGHT:
-            raise CutEliminationError(f"f cut against {d1.rule}")
+        if r1 != F_RIGHT:
+            raise CutEliminationError(f"f cut against {r1}")
         return d1.premises[0]
-    spec = CONTEXT_RULES.get(r2)
-    if spec is not None:
-        i = analyze_node(d2, th)["i"]
-        p = d2.premises
-        if spec.side == "left" and i == lpos:  # principal: d1 introduced s at rpos
-            if r2 == E_LEFT and d1.rule == E_RIGHT:
-                return p[0]
-            if r2 == FUSE_LEFT and d1.rule == FUSE_RIGHT:
-                q1, q2 = d1.premises
-                return _reduce_ca(q1, _reduce_ca(q2, p[0], lpos + 1, 0, th), lpos, 0, th)
-            if r2 in (MEET_LEFT_1, MEET_LEFT_2) and d1.rule == MEET_RIGHT:
-                q = d1.premises[0 if r2 == MEET_LEFT_1 else 1]
-                return _reduce_ca(q, p[0], lpos, rpos, th)
-            if r2 == JOIN_LEFT and d1.rule in (JOIN_RIGHT_1, JOIN_RIGHT_2):
-                q = p[0 if d1.rule == JOIN_RIGHT_1 else 1]
-                return _reduce_ca(d1.premises[0], q, lpos, rpos, th)
-            raise CutEliminationError(f"principal {r2} cut against {d1.rule}")
-        lposp = lpos + _shift(d2, i, lpos, "left")
-        rs = [_reduce_ca(d1, q, lposp, rpos, th) for q in p]
-        return _rebuild(r2, d2, i, rs)
-    if r2 == ARROW_RIGHT:
-        t = d2.conclusion.right[0]
-        r = _reduce_ca(d1, d2.premises[0], lpos, rpos, th)
-        return _rb_arrow_right(t, r)
-    if r2 == FUSE_RIGHT:
-        t = d2.conclusion.right[0]
-        p1, p2 = d2.premises
-        n_g1 = len(p1.conclusion.left)
-        if lpos < n_g1:
-            r = _reduce_ca(d1, p1, lpos, rpos, th)
-            return _rb_fuse_right(t, r, p2)
-        r = _reduce_ca(d1, p2, lpos - n_g1, rpos, th)
-        return _rb_fuse_right(t, p1, r)
-    if r2 == ARROW_LEFT:
-        a = analyze_node(d2, th)
-        i, j = a["i"], a["j"]
-        t = d2.conclusion.left[i]
-        p1, p2 = d2.premises
-        if i == lpos:  # principal arrow cut
-            if d1.rule != ARROW_RIGHT:
-                raise CutEliminationError(f"arrow cut against {d1.rule}")
-            q = d1.premises[0]
-            r1x = _reduce_ca(p1, q, len(d1.conclusion.left), 0, th)
-            b_index = len(p1.conclusion.right) - 1  # t.r lands after D2
-            return _reduce_ca(r1x, p2, lpos, b_index, th)
-        if i < lpos < j:
-            r = _reduce_ca(d1, p1, lpos - i - 1, rpos, th)
-            return _rb_arrow_left(t, r, p2)
-        lposp = lpos if lpos < i else i + 1 + (lpos - j)
-        r = _reduce_ca(d1, p2, lposp, rpos, th)
-        return _rb_arrow_left(t, p1, r)
-    if r2 == ABLG_W:
-        p = d2.premises[0]
-        nl, nr = len(p.conclusion.left), len(p.conclusion.right)
-        zoneL = d2.conclusion.left[nl:]
-        zoneR = d2.conclusion.right[nr:]
-        if lpos < nl:
-            r = _reduce_ca(d1, p, lpos, rpos, th)
-            return _rb_ablg(r, zoneL, zoneR, th)
+    a2 = analyze_node(d2, th)
+    if r2 in WEAKENING and not _locate(d2, a2, "left", lpos):
         # widening: s sits inside the validated left zone
-        zL = _without(zoneL, lpos - nl)
-        return _rb_ablg(p, zL + L1, _without(R1, rpos) + zoneR, th)
-
-    raise CutEliminationError(f"unhandled d2 rule in ca reduction: {r2}")
+        p = d2.premises[0]
+        zoneL = _without(d2.conclusion.left, lpos)[len(p.conclusion.left) :]
+        zoneR = d2.conclusion.right[len(p.conclusion.right) :]
+        return _rb_ablg(p, zoneL + L1, _without(R1, rpos) + zoneR, th)
+    if _is_principal(d2, a2, "left", lpos):  # d1 introduced s at rpos
+        p = d2.premises
+        if r2 == E_LEFT and r1 == E_RIGHT:
+            return p[0]
+        if r2 == FUSE_LEFT and r1 == FUSE_RIGHT:
+            q1, q2 = d1.premises
+            return _reduce_ca(q1, _reduce_ca(q2, p[0], lpos + 1, 0, th), lpos, 0, th)
+        if r2 in (MEET_LEFT_1, MEET_LEFT_2) and r1 == MEET_RIGHT:
+            q = d1.premises[0 if r2 == MEET_LEFT_1 else 1]
+            return _reduce_ca(q, p[0], lpos, rpos, th)
+        if r2 == JOIN_LEFT and r1 in (JOIN_RIGHT_1, JOIN_RIGHT_2):
+            q = p[0 if r1 == JOIN_RIGHT_1 else 1]
+            return _reduce_ca(d1.premises[0], q, lpos, rpos, th)
+        if r2 == ARROW_LEFT and r1 == ARROW_RIGHT:
+            p1, p2 = p
+            rx = _reduce_ca(p1, d1.premises[0], len(L1), 0, th)
+            return _reduce_ca(rx, p2, lpos, len(p1.conclusion.right) - 1, th)  # t after D2
+        raise CutEliminationError(f"principal {r2} cut against {r1}")
+    reduce = lambda q, at: _reduce_ca(d1, q, at, rpos, th)  # noqa: E731
+    return _rebuild(d2, a2, _reduce_premises(d2, a2, "left", lpos, reduce), th)
 
 
 # canonical multiple-conclusion rebuilds (order fixed afterwards by _patch)
 
 
-def _rebuild(rule: str, node: Proof, i: int, premises) -> Proof:
-    """A context rule over rebuilt premises, its principal (node's formula at
-    i) first on its side: each premise is exchanged to read the principal's
-    subterms followed by the context the first premise leaves, and the other
-    side is read from the first premise."""
-    spec = CONTEXT_RULES[rule]
+def _move(proof: Proof, side: str, t, back: bool = False) -> Proof:
+    """Exchange the first occurrence of t on `side` to the front (or back)."""
+    rest = _remove_one(proof.conclusion.left if side == "left" else proof.conclusion.right, t)
+    return _exchange_chain(proof, rest + (t,) if back else (t,) + rest, side)
+
+
+def _rebuild(node: Proof, analysis: dict, premises: tuple, th: Theory) -> Proof:
+    """node's rule over rebuilt premises, in a canonical layout."""
+    rule = node.rule
+    if rule in EXCHANGE:  # _patch restores any order
+        return premises[0]
+    if rule in WEAKENING:
+        p = node.premises[0].conclusion
+        zoneL, zoneR = node.conclusion.left[len(p.left) :], node.conclusion.right[len(p.right) :]
+        return _rb_ablg(premises[0], zoneL, zoneR, th)
+    spec = CONTEXT_RULES.get(rule) or SPLIT_RULES.get(rule)
+    if spec is None:
+        raise CutEliminationError(f"unhandled rule in ca reduction: {rule}")
     left = spec.side == "left"
-    t = (node.conclusion.left if left else node.conclusion.right)[i]
+    t = (node.conclusion.left if left else node.conclusion.right)[analysis["i"]]
+    if rule in SPLIT_RULES:
+        aux, kept = spec.aux(t), spec.kept(t)
+        if len(premises) == 1:
+            p = _move(premises[0], "left", aux, back=spec.ctx == "back")
+            premises = (_move(p, "right", kept),)
+        else:
+            premises = (_move(premises[0], "right", aux), _move(premises[1], spec.side, kept))
+        return assemble_split(rule, t, premises)
+    # a context rule, its principal first on its side: each premise is
+    # exchanged to read the principal's subterms followed by the context the
+    # first premise leaves, and the other side is read from the first premise
     parts = spec.parts(t)
     first = premises[0].conclusion
     rest, other = (first.left, first.right) if left else (first.right, first.left)
@@ -498,34 +381,6 @@ def _rebuild(rule: str, node: Proof, i: int, premises) -> Proof:
         out.append(_exchange_chain(q, other, "right" if left else "left"))
     concl = Sequent((t,) + rest, other) if left else Sequent(other, (t,) + rest)
     return Proof(concl, rule, tuple(out))
-
-
-def _rb_arrow_right(t, p: Proof) -> Proof:
-    p = _back_left(p, t.l)
-    p = _front_right(p, t.r)
-    return Proof(
-        Sequent(p.conclusion.left[:-1], (t,) + p.conclusion.right[1:]), ARROW_RIGHT, (p,)
-    )
-
-
-def _rb_arrow_left(t, p1: Proof, p2: Proof) -> Proof:
-    p1 = _front_right(p1, t.l)
-    p2 = _front_left(p2, t.r)
-    concl = Sequent(
-        (t,) + p1.conclusion.left + p2.conclusion.left[1:],
-        p2.conclusion.right + p1.conclusion.right[1:],
-    )
-    return Proof(concl, ARROW_LEFT, (p1, p2))
-
-
-def _rb_fuse_right(t, p1: Proof, p2: Proof) -> Proof:
-    p1 = _front_right(p1, t.l)
-    p2 = _front_right(p2, t.r)
-    concl = Sequent(
-        p1.conclusion.left + p2.conclusion.left,
-        (t,) + p1.conclusion.right[1:] + p2.conclusion.right[1:],
-    )
-    return Proof(concl, FUSE_RIGHT, (p1, p2))
 
 
 def _rb_ablg(p: Proof, zoneL: tuple, zoneR: tuple, th: Theory) -> Proof:

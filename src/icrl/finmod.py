@@ -133,10 +133,6 @@ def load_algebra(path: str) -> FiniteAlgebra:
         return algebra_from_dict(json.load(fh))
 
 
-def dump_algebra(a: FiniteAlgebra) -> str:
-    return json.dumps(algebra_to_dict(a), indent=2, sort_keys=True) + "\n"
-
-
 # --- validation ---------------------------------------------------------------
 
 

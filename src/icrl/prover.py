@@ -162,6 +162,38 @@ CONTEXT_RULES: dict[str, ContextRule] = {
 }
 
 
+class SplitRule(NamedTuple):
+    side: str  # the side of the principal formula; on the right it comes first
+    connective: type  # the principal formula's class
+    aux: Callable  # principal -> the formula that premise 1 gains
+    kept: Callable  # principal -> the formula that takes the principal's place
+    ctx: str  # where premise 1's context sits: "front", "back", "before", "after", "prefix"
+
+
+# The split rules.  With one premise (ctx "front" or "back") the premise
+# replaces the principal by `kept` and adds `aux` at that end of the left side.
+# With two, premise 1 is G => aux, D: G is the block of the left side just
+# "before" or just "after" the principal, or a "prefix" of it (fuse-right),
+# and D, empty in single-conclusion theories, is the block of the right side
+# just after the principal (fuse-right) or at its back.  Premise 2 keeps the
+# rest, with `kept` in the principal's place.  The checker, commutative
+# emission and cut elimination read these shapes from here.
+SPLIT_RULES: dict[str, SplitRule] = {
+    LDIV_RIGHT: SplitRule("right", LDiv, lambda t: t.l, lambda t: t.r, "front"),
+    RDIV_RIGHT: SplitRule("right", RDiv, lambda t: t.r, lambda t: t.l, "back"),
+    ARROW_RIGHT: SplitRule("right", LDiv, lambda t: t.l, lambda t: t.r, "back"),
+    FUSE_RIGHT: SplitRule("right", Fuse, lambda t: t.l, lambda t: t.r, "prefix"),
+    LDIV_LEFT: SplitRule("left", LDiv, lambda t: t.l, lambda t: t.r, "before"),
+    RDIV_LEFT: SplitRule("left", RDiv, lambda t: t.r, lambda t: t.l, "after"),
+    ARROW_LEFT: SplitRule("left", LDiv, lambda t: t.l, lambda t: t.r, "after"),
+}
+
+# The other rule families: every rule is a context rule, a split rule or one of these.
+AXIOMS = frozenset({ID, E_RIGHT, F_LEFT, GENAX_ID, GENAX_E})
+WEAKENING = frozenset({W, LG_W, ABLG_W})
+EXCHANGE = frozenset({EL, ER})
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Record of an oracle-validated side-condition."""
@@ -270,9 +302,6 @@ def _analyses(node: Proof, theory: Theory):
     L, R = concl.left, concl.right
     multiple = theory.multiple_conclusion
 
-    def single_right_ok():
-        return len(R) == 1
-
     if rule == ID:
         if not prem and len(L) == 1 and len(R) == 1 and L[0] == R[0]:
             yield {}
@@ -289,12 +318,12 @@ def _analyses(node: Proof, theory: Theory):
         return
 
     if rule == GENAX_E:
-        if not prem and single_right_ok() and R[0] == E:
+        if not prem and len(R) == 1 and R[0] == E:
             yield {"obligations": [Sequent(L, (E,))]}
         return
 
     if rule == GENAX_ID:
-        if not prem and single_right_ok():
+        if not prem and len(R) == 1:
             u = R[0]
             for i, t in enumerate(L):
                 if t == u:
@@ -307,7 +336,7 @@ def _analyses(node: Proof, theory: Theory):
     spec = CONTEXT_RULES.get(rule)
     if spec is not None:
         left = spec.side == "left"
-        if not (left or multiple or single_right_ok()):
+        if not (left or multiple or len(R) == 1):
             return
         side, fixed = (L, R) if left else (R, L)
         goals = []  # each premise's side of the principal
@@ -329,153 +358,96 @@ def _analyses(node: Proof, theory: Theory):
                 yield {"i": i}
         return
 
-    if len(prem) == 1:
-        (p,) = prem
-        pL, pR = p.conclusion.left, p.conclusion.right
+    split = SPLIT_RULES.get(rule)
+    if split is not None:
+        yield from _split_analyses(split, L, R, prem, multiple)
+        return
 
-        if rule == LDIV_RIGHT:
-            # single-conclusion: G => s \ t  from  s, G => t
-            # ca: G => s -> t, D  from  G, s => t, D   (arrow-right is used there)
-            if not multiple and single_right_ok() and isinstance(R[0], LDiv):
-                t = R[0]
-                if pL == (t.l,) + L and pR == (t.r,):
-                    yield {}
-            return
+    if rule == CUT and len(prem) == 2:
+        p1, p2 = prem
+        p1L, p1R = p1.conclusion.left, p1.conclusion.right
+        p2L, p2R = p2.conclusion.left, p2.conclusion.right
+        # single-conclusion: the cut formula is p1's only right formula
+        if p1R and (multiple or len(p1R) == 1) and R == p1R[1:] + p2R:
+            s = p1R[0]
+            for j, t in enumerate(p2L):
+                if t == s and L == p2L[:j] + p1L + p2L[j + 1 :]:
+                    yield {"j": j}
+    if len(prem) != 1:
+        return
+    pL, pR = prem[0].conclusion.left, prem[0].conclusion.right
 
-        if rule == RDIV_RIGHT:
-            if not multiple and single_right_ok() and isinstance(R[0], RDiv):
-                t = R[0]
-                if pL == L + (t.r,) and pR == (t.l,):
-                    yield {}
-            return
-
-        if rule == ARROW_RIGHT:
-            if multiple and R and isinstance(R[0], LDiv):
-                t = R[0]
-                if pL == L + (t.l,) and pR == (t.r,) + R[1:]:
-                    yield {}
-            return
-
-        if rule == W:
-            # vacuous instances (empty block) are schema-valid
-            for i in range(len(L) + 1):
-                for j in range(i, len(L) + 1):
-                    if pL == L[:i] + L[j:] and pR == R:
-                        yield {"i": i, "j": j}
-            return
-
-        if rule in (LG_W, ABLG_W) and not multiple:
-            for i in range(len(L) + 1):
-                for j in range(i, len(L) + 1):
-                    if pL == L[:i] + L[j:] and pR == R:
-                        yield {"i": i, "j": j, "obligations": [Sequent(L[i:j], (E,))]}
-            return
-
-        if rule == ABLG_W and multiple:
+    if rule in WEAKENING:
+        if multiple:  # ca deletes the back of both sides
             nl, nr = len(pL), len(pR)
             if L[:nl] == pL and R[:nr] == pR:
                 yield {"obligations": [Sequent(L[nl:], R[nr:])]}
             return
-
-        if rule == EL:
-            if pR == R and len(pL) == len(L):
-                n = len(L)
-                for a in range(n + 1):
-                    for b in range(a, n + 1):
-                        for c in range(b, n + 1):
-                            # L = G1 P1 P2 G2 with P1 = L[a:b], P2 = L[b:c]
-                            if pL == L[:a] + L[b:c] + L[a:b] + L[c:]:
-                                yield {"a": a, "b": b, "c": c}
-            return
-
-        if rule == ER:
-            if pL == L and len(pR) == len(R):
-                n = len(R)
-                for a in range(n + 1):
-                    for b in range(a, n + 1):
-                        for c in range(b, n + 1):
-                            if pR == R[:a] + R[b:c] + R[a:b] + R[c:]:
-                                yield {"a": a, "b": b, "c": c}
-            return
-
+        # a block L[i:j] of the left side; vacuous (empty) blocks are schema-valid
+        for i in range(len(L) + 1):
+            for j in range(i, len(L) + 1):
+                if pL == L[:i] + L[j:] and pR == R:
+                    if rule == W:
+                        yield {"i": i, "j": j}
+                    else:
+                        yield {"i": i, "j": j, "obligations": [Sequent(L[i:j], (E,))]}
         return
 
-    if len(prem) == 2:
-        p1, p2 = prem
-        p1L, p1R = p1.conclusion.left, p1.conclusion.right
-        p2L, p2R = p2.conclusion.left, p2.conclusion.right
+    if rule in EXCHANGE:
+        side, other, pside, pother = (L, R, pL, pR) if rule == EL else (R, L, pR, pL)
+        if pother == other and len(pside) == len(side):
+            n = len(side)
+            for a in range(n + 1):
+                for b in range(a, n + 1):
+                    for c in range(b, n + 1):
+                        # side = G1 P1 P2 G2 with P1 = side[a:b], P2 = side[b:c]
+                        if pside == side[:a] + side[b:c] + side[a:b] + side[c:]:
+                            yield {"a": a, "b": b, "c": c}
 
-        if rule == CUT:
-            if not multiple:
-                if len(p1R) == 1 and p2R == R:
-                    s = p1R[0]
-                    for j, t in enumerate(p2L):
-                        if t == s and L == p2L[:j] + p1L + p2L[j + 1 :]:
-                            yield {"j": j}
-            else:
-                if p1R:
-                    s = p1R[0]
-                    d1 = p1R[1:]
-                    if R == d1 + p2R:
-                        for j, t in enumerate(p2L):
-                            if t == s and L == p2L[:j] + p1L + p2L[j + 1 :]:
-                                yield {"j": j}
-            return
 
-        if rule == FUSE_RIGHT:
-            if not multiple:
-                if single_right_ok() and isinstance(R[0], Fuse):
-                    t = R[0]
-                    if p1R == (t.l,) and p2R == (t.r,):
-                        k = len(p1L)
-                        if L == p1L + p2L:
-                            yield {"k": k}
-            else:
-                if R and isinstance(R[0], Fuse):
-                    t = R[0]
-                    if p1R and p1R[0] == t.l and p2R and p2R[0] == t.r:
-                        if L == p1L + p2L and R[1:] == p1R[1:] + p2R[1:]:
-                            yield {}
-            return
-
-        if rule == LDIV_LEFT:
-            # G1, G2, s \ t, G3 => u   from   G2 => s   and   G1, t, G3 => u
-            if not multiple and len(p1R) == 1 and p2R == R:
-                for i, t in enumerate(L):
-                    if isinstance(t, LDiv) and t.l == p1R[0]:
-                        k = i - len(p1L)
-                        if k >= 0 and L[k:i] == p1L:
-                            if p2L == L[:k] + (t.r,) + L[i + 1 :]:
-                                yield {"i": i, "k": k}
-            return
-
-        if rule == RDIV_LEFT:
-            # G1, t / s, G2, G3 => u   from   G2 => s   and   G1, t, G3 => u
-            if not multiple and len(p1R) == 1 and p2R == R:
-                for i, t in enumerate(L):
-                    if isinstance(t, RDiv) and t.r == p1R[0]:
-                        j = i + 1 + len(p1L)
-                        if j <= len(L) and L[i + 1 : j] == p1L:
-                            if p2L == L[:i] + (t.l,) + L[j:]:
-                                yield {"i": i, "j": j}
-            return
-
-        if rule == ARROW_LEFT:
-            # G1, s -> t, G2, G3 => D1, D2  from  G2 => s, D2  and  G1, t, G3 => D1
-            if multiple and p1R:
-                s = p1R[0]
-                d2 = p1R[1:]
-                d1 = p2R
-                if R == d1 + d2:
-                    for i, t in enumerate(L):
-                        if isinstance(t, LDiv) and t.l == s:
-                            j = i + 1 + len(p1L)
-                            if j <= len(L) and L[i + 1 : j] == p1L:
-                                if p2L == L[:i] + (t.r,) + L[j:]:
-                                    yield {"i": i, "j": j}
-            return
-
+def _split_analyses(spec: SplitRule, L: tuple, R: tuple, prem: tuple, multiple: bool):
+    """Instances of a split rule: its principal at "i" on its side and, with
+    two premises, premise 1's contexts at "g" on the left and "d" on the
+    right."""
+    left = spec.side == "left"
+    one = spec.ctx in ("front", "back")
+    if len(prem) != (1 if one else 2):
         return
+    if left:
+        positions = range(len(L))
+    elif R and (multiple or len(R) == 1):
+        positions = (0,)
+    else:
+        return
+    first = prem[0].conclusion
+    if not (one or multiple or len(first.right) == 1):
+        return
+    last = prem[-1].conclusion
+    for i in positions:
+        t = L[i] if left else R[i]
+        if not isinstance(t, spec.connective):
+            continue
+        aux, kept = (spec.aux(t),), (spec.kept(t),)
+        if one:
+            gained = aux + L if spec.ctx == "front" else L + aux
+            if first.left == gained and last.right == kept + R[1:]:
+                yield {"i": i}
+            continue
+        G, D = first.left, first.right[1:]
+        g = {"prefix": 0, "before": i - len(G), "after": i + 1}[spec.ctx]
+        d = 1 if not left else len(R) - len(D)
+        if first.right[:1] != aux or g < 0 or d < 0:
+            continue
+        if L[g : g + len(G)] != G or R[d : d + len(D)] != D:
+            continue
+        rest_l, rest_r = L[:g] + L[g + len(G) :], R[:d] + R[d + len(D) :]
+        if left:
+            j = i if i < g else i - len(G)
+            rest_l = rest_l[:j] + kept + rest_l[j + 1 :]
+        else:
+            rest_r = kept + rest_r[1:]
+        if last.left == rest_l and last.right == rest_r:
+            yield {"i": i, "g": g, "d": d}
 
 
 class CheckFailure(Exception):
@@ -580,17 +552,8 @@ def clear_caches():
     _MEMO.clear()
 
 
-def _term_key(t: Term) -> str:
-    return print_term(t)
-
-
 def _sort_ms(terms) -> tuple[Term, ...]:
-    return tuple(sorted(terms, key=_term_key))
-
-
-def _ms_remove(ms: tuple, item: Term) -> tuple:
-    i = ms.index(item)
-    return ms[:i] + ms[i + 1 :]
+    return tuple(sorted(terms, key=print_term))
 
 
 def _ms_subtract(ms: tuple, sub: tuple) -> tuple:
@@ -772,16 +735,16 @@ def _alts_multiset(goal, ctx: _Ctx):
         for t in L:
             if t == u and t not in seen:
                 seen.add(t)
-                rest = _ms_remove(L, t)
+                rest = _remove_one(L, t)
                 if ctx.oracle_e(rest):
                     yield GENAX_ID, {"u": t, "rest": rest}, []
 
     distinct = _first_positions(L)
     yield from _context_alts(ctx, goal, _FIRST, distinct, (0,))
     if isinstance(u, LDiv):
-        yield LDIV_RIGHT, {}, [(_sort_ms(L + (u.l,)), (u.r,))]
+        yield LDIV_RIGHT, {"principal": u}, [(_sort_ms(L + (u.l,)), (u.r,))]
     if isinstance(u, RDiv):
-        yield RDIV_RIGHT, {}, [(_sort_ms(L + (u.r,)), (u.l,))]
+        yield RDIV_RIGHT, {"principal": u}, [(_sort_ms(L + (u.r,)), (u.l,))]
     if ctx.explicit and th.oracle is not None:
         for block in _submultisets(L):
             if block and ctx.oracle_e(block):
@@ -794,7 +757,7 @@ def _alts_multiset(goal, ctx: _Ctx):
             rule = LDIV_LEFT if isinstance(t, LDiv) else RDIV_LEFT
             s_aux = t.l if isinstance(t, LDiv) else t.r
             t_sub = t.r if isinstance(t, LDiv) else t.l
-            rest = _ms_remove(L, t)
+            rest = _remove_one(L, t)
             for sub in _submultisets(rest):
                 yield rule, {"principal": t, "sub_l": sub, "sub_r": ()}, [
                     (sub, (s_aux,)),
@@ -823,7 +786,7 @@ def _alts_ca(goal, ctx: _Ctx):
         t = R[i]
         yield from _context_alts(ctx, goal, _CA_JOIN_RIGHT, (), (i,))
         if isinstance(t, LDiv):
-            rest = _ms_remove(R, t)
+            rest = _remove_one(R, t)
             yield ARROW_RIGHT, {"principal": t}, [(_sort_ms(L + (t.l,)), _sort_ms(rest + (t.r,)))]
 
     # oracle weakening: delete a non-empty pair of sub-multisets
@@ -841,7 +804,7 @@ def _alts_ca(goal, ctx: _Ctx):
         t = R[i]
         yield from _context_alts(ctx, goal, _CA_MEET_RIGHT, (), (i,))
         if isinstance(t, Fuse):
-            restR = _ms_remove(R, t)
+            restR = _remove_one(R, t)
             for sl in _submultisets(L):
                 for sr in _submultisets(restR):
                     yield FUSE_RIGHT, {"principal": t, "sub_l": sl, "sub_r": sr}, [
@@ -850,7 +813,7 @@ def _alts_ca(goal, ctx: _Ctx):
                     ]
     for t in (L[i] for i in distinctL):
         if isinstance(t, LDiv):
-            restL = _ms_remove(L, t)
+            restL = _remove_one(L, t)
             for sl in _submultisets(restL):
                 for sr in _submultisets(R):
                     # premise1: sl => t.l, sr     premise2: rest, t.r => R - sr
@@ -898,7 +861,7 @@ def _exchange_chain(proof: Proof, target: tuple, side: str) -> Proof:
     """Stack el/er nodes under `proof` until the given side reads `target`."""
     rule = EL if side == "left" else ER
     current = list(proof.conclusion.left if side == "left" else proof.conclusion.right)
-    assert sorted(map(_term_key, current)) == sorted(map(_term_key, target)), "not a permutation"
+    assert sorted(map(print_term, current)) == sorted(map(print_term, target)), "not a permutation"
     out = proof
     goal = list(target)
     for i in range(len(goal)):
@@ -961,49 +924,54 @@ def _emit_commutative(step: _Step, target_left: tuple, target_right: tuple) -> P
         )
         node = Proof(Sequent(rest + (t,), TR), rule, (), certs)
         return _exchange_chain(node, TL, "left")
-    if rule in (LDIV_RIGHT, RDIV_RIGHT):
-        u = TR[0]
-        if rule == LDIV_RIGHT:
-            p = emit(step.premises[0], (u.l,) + TL, (u.r,))
-        else:
-            p = emit(step.premises[0], TL + (u.r,), (u.l,))
-        return Proof(Sequent(TL, TR), rule, (p,))
-    if rule == ARROW_RIGHT:
-        t = data["principal"]
-        rest_r = _remove_last(TR, t)
-        p = emit(step.premises[0], TL + (t.l,), (t.r,) + rest_r)
-        node = Proof(Sequent(TL, (t,) + rest_r), rule, (p,))
-        return _exchange_chain(node, TR, "right")
 
-    # the remaining rules delete or split sorted sub-multisets of the sides
+    # weakening deletes sorted sub-multisets; the split rules are assembled
     if rule == ABLG_W:
         dl, dr = data["del_l"], data["del_r"]
         rest_l, rest_r = _ms_subtract(TL, dl), _ms_subtract(TR, dr)
         p = emit(step.premises[0], rest_l, rest_r)
         certs = tuple(Certificate("ablg", c) for c in data["certs"])
         node = Proof(Sequent(rest_l + dl, rest_r + dr), rule, (p,), certs)
-    elif rule == FUSE_RIGHT:
-        t, sl, sr = data["principal"], data["sub_l"], data["sub_r"]
-        rest_l = _ms_subtract(TL, sl)
-        rest_r = _ms_subtract(_remove_one(TR, t), sr)
-        p1 = emit(step.premises[0], sl, (t.l,) + sr)
-        p2 = emit(step.premises[1], rest_l, (t.r,) + rest_r)
-        node = Proof(Sequent(sl + rest_l, (t,) + sr + rest_r), rule, (p1, p2))
-    elif rule in (LDIV_LEFT, RDIV_LEFT, ARROW_LEFT):
-        # G1 empty: the principal and G2 = sub_l lead, in the schema's order,
-        # and G3 = the rest follows
-        t, sl, sr = data["principal"], data["sub_l"], data["sub_r"]
-        aux, kept = (t.r, t.l) if rule == RDIV_LEFT else (t.l, t.r)
-        rest_l = _ms_subtract(_remove_one(TL, t), sl)
-        rest_r = _ms_subtract(TR, sr)
-        p1 = emit(step.premises[0], sl, (aux,) + sr)
-        p2 = emit(step.premises[1], (kept,) + rest_l, rest_r)
-        left = sl + (t,) + rest_l if rule == LDIV_LEFT else (t,) + sl + rest_l
-        node = Proof(Sequent(left, rest_r + sr), rule, (p1, p2))
     else:
-        raise AssertionError(f"unexpected rule in commutative emission: {rule}")
+        spec = SPLIT_RULES[rule]
+        t = data["principal"]
+        aux, kept = (spec.aux(t),), (spec.kept(t),)
+        if len(step.premises) == 1:
+            rest_r = _remove_last(TR, t)
+            gained = aux + TL if spec.ctx == "front" else TL + aux
+            premises = (emit(step.premises[0], gained, kept + rest_r),)
+        else:
+            # premise 1 takes the sub-multisets sub_l => sub_r, premise 2 the rest
+            sl, sr = data["sub_l"], data["sub_r"]
+            left = spec.side == "left"
+            rest_l = _ms_subtract(_remove_one(TL, t) if left else TL, sl)
+            rest_r = _ms_subtract(TR if left else _remove_one(TR, t), sr)
+            last = (kept + rest_l, rest_r) if left else (rest_l, kept + rest_r)
+            premises = (emit(step.premises[0], sl, aux + sr), emit(step.premises[1], *last))
+        node = assemble_split(rule, t, premises)
     node = _exchange_chain(node, TL, "left")
     return _exchange_chain(node, TR, "right")
+
+
+def assemble_split(rule: str, t: Term, premises: tuple[Proof, ...]) -> Proof:
+    """The node of split rule `rule` with principal t, its conclusion read off
+    premises that are laid out as the rule reads them with no context before
+    the principal's block: with one premise, aux at its ctx end of the left
+    side and kept first on the right; with two, aux first on premise 1's
+    right and kept first on premise 2's principal side."""
+    spec = SPLIT_RULES[rule]
+    last = premises[-1].conclusion
+    if len(premises) == 1:
+        left = last.left[1:] if spec.ctx == "front" else last.left[:-1]
+        return Proof(Sequent(left, (t,) + last.right[1:]), rule, premises)
+    first = premises[0].conclusion
+    G, D = first.left, first.right[1:]
+    if spec.side == "right":
+        concl = Sequent(G + last.left, (t,) + D + last.right[1:])
+    else:
+        block = G + (t,) if spec.ctx == "before" else (t,) + G
+        concl = Sequent(block + last.left[1:], last.right + D)
+    return Proof(concl, rule, premises)
 
 
 # --- entry points ------------------------------------------------------------------

@@ -233,12 +233,34 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
 
 # --- parser ---------------------------------------------------------------
 
+# The deepest term, and the deepest parenthesis nesting, that the parser
+# accepts (a variable has depth 1).  Printing can put each level of a term in
+# parentheses, and the recursive-descent parser spends about nine stack frames
+# per parenthesis, so every accepted term is printed, read back, searched and
+# checked well inside the interpreter's stack.
+MAX_TERM_DEPTH = 64
+_TOO_DEEP = f"term nested too deeply (more than {MAX_TERM_DEPTH} levels)"
+
+
+def _depth_over(t: Term, limit: int) -> bool:
+    """Whether t is deeper than limit, found without recursion."""
+    stack = [(t, 1)]
+    while stack:
+        t, d = stack.pop()
+        if d > limit:
+            return True
+        if isinstance(t, _Binary):
+            stack.append((t.l, d + 1))
+            stack.append((t.r, d + 1))
+    return False
+
 
 class _Parser:
     def __init__(self, text: str, theory: Theory):
         self.toks = _lex(text)
         self.pos = 0
         self.theory = theory
+        self.parens = 0  # open parentheses around the current position
 
     def peek(self):
         return self.toks[self.pos]
@@ -265,6 +287,14 @@ class _Parser:
 
     def term(self) -> Term:
         return self.plus()
+
+    def formula(self) -> Term:
+        """A whole term of the input, no deeper than MAX_TERM_DEPTH."""
+        at = self.peek()[2]
+        t = self.term()
+        if _depth_over(t, MAX_TERM_DEPTH):
+            raise ParseError(_TOO_DEEP, at)
+        return t
 
     def plus(self) -> Term:
         t = self.join()
@@ -326,22 +356,26 @@ class _Parser:
         return t
 
     def prefix(self) -> Term:
-        kind, _, at = self.peek()
-        if kind == "TILDE":
-            self.next()
-            return LDiv(self.prefix(), E)
-        if kind == "NEG":
-            self.next()
-            if not self.theory.pointed:
+        units = []  # read in a loop: chains of ~ and - do not recurse
+        while self.peek()[0] in ("TILDE", "NEG"):
+            kind, _, at = self.next()
+            if kind == "NEG" and not self.theory.pointed:
                 raise ParseError(f"'-' requires the pointed signature (theory ca)", at)
-            return LDiv(self.prefix(), F)
-        return self.atom()
+            units.append(E if kind == "TILDE" else F)
+        t = self.atom()
+        for unit in reversed(units):
+            t = LDiv(t, unit)
+        return t
 
     def atom(self) -> Term:
         kind, text, at = self.next()
         if kind == "LPAR":
+            self.parens += 1
+            if self.parens > MAX_TERM_DEPTH:
+                raise ParseError(_TOO_DEEP, at)
             t = self.term()
             self.expect("RPAR")
+            self.parens -= 1
             return t
         if kind == "IDENT":
             if text == "e":
@@ -356,8 +390,8 @@ class _Parser:
 
 def _parse(text: str, theory: Theory, read):
     """Run `read` on a parser over `text` and check that it used all of it.
-    Nesting deeper than the interpreter's stack allows is a ParseError at the
-    position the parser reached."""
+    Running out of stack (when called from deep in one) is a ParseError at
+    the position the parser reached."""
     p = _Parser(text, theory)
     try:
         out = read(p)
@@ -369,7 +403,7 @@ def _parse(text: str, theory: Theory, read):
 
 def parse_term(text: str, theory: Theory = Theory.ICRL) -> Term:
     """Parse a term, expanding derived connectives to the core constructors."""
-    return normalize_for_theory(_parse(text, theory, _Parser.term), theory)
+    return normalize_for_theory(_parse(text, theory, _Parser.formula), theory)
 
 
 def parse_sequent(text: str, theory: Theory = Theory.ICRL) -> Sequent:
@@ -379,10 +413,10 @@ def parse_sequent(text: str, theory: Theory = Theory.ICRL) -> Sequent:
         terms = []
         if p.peek()[0] in ("SEQ", "EOF"):
             return terms
-        terms.append(p.term())
+        terms.append(p.formula())
         while p.peek()[0] == "COMMA":
             p.next()
-            terms.append(p.term())
+            terms.append(p.formula())
         return terms
 
     def sequent(p: _Parser):
@@ -405,9 +439,9 @@ def parse_leq(text: str, theory: Theory = Theory.ICRL) -> tuple[Term, Term]:
     """Parse an inequation 's <= t'."""
 
     def leq(p: _Parser):
-        s = p.term()
+        s = p.formula()
         p.expect("LEQ")
-        return s, p.term()
+        return s, p.formula()
 
     s, t = _parse(text, theory, leq)
     return normalize_for_theory(s, theory), normalize_for_theory(t, theory)
@@ -491,10 +525,6 @@ def sequent_variables(s: Sequent) -> set[str]:
     for t in s.left + s.right:
         out |= variables(t)
     return out
-
-
-def is_pointed(t: Term) -> bool:
-    return any(isinstance(sub, ConstF) for sub in subterms(t))
 
 
 def neg_translation(t: Term) -> Term:

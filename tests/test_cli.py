@@ -8,7 +8,8 @@ from icrl import lg_oracle
 from icrl.cli import run
 from icrl.finmod import algebra_to_dict
 from icrl.prover import proof_from_json
-from icrl.terms import Theory, print_term
+from icrl.terms import MAX_TERM_DEPTH, Theory, print_term
+from test_terms import depth_chains
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +147,20 @@ def test_deep_nesting_is_a_parse_error(capsys):
     assert code == 2
     assert "nested too deeply" in err
     assert "(at position" in err
+
+
+def test_terms_at_the_depth_limit_prove_and_check(tmp_path, capsys):
+    proof_path = tmp_path / "p.json"
+    for text in depth_chains(MAX_TERM_DEPTH):
+        emit = ("--emit-proof", str(proof_path))
+        code, _, _ = run_cli(capsys, "prove", "--theory", "icrl", *emit, f"{text} => {text}")
+        assert code == 0
+        code, _, _ = run_cli(capsys, "check", "--theory", "icrl", str(proof_path))
+        assert code == 0
+    for text in depth_chains(MAX_TERM_DEPTH + 1):
+        code, _, err = run_cli(capsys, "prove", "--theory", "icrl", f"{text} => x")
+        assert code == 2
+        assert "nested too deeply" in err
 
 
 def test_enumeration_beyond_the_cap_is_refused():

@@ -75,6 +75,23 @@ def test_ca_cut_through_arrow_left_with_leading_context():
     assert check_proof(q, th, allow_cut=False)
 
 
+def test_ca_arrow_left_puts_the_right_context_of_premise_one_last():
+    # G1, s -> t, G2, G3 => D1, D2 from G2 => s, D2 and G1, t, G3 => D1; a
+    # cut on a formula of D1 permutes into the second premise
+    from icrl.prover import ABLG_W, ARROW_LEFT, ID, Proof
+
+    th = Theory.CA
+    p1 = Proof(parse_sequent("x => x, e", th), ABLG_W, (Proof(parse_sequent("x => x", th), ID),))
+    p2 = Proof(parse_sequent("y => y", th), ID)
+    d1 = Proof(parse_sequent("x -> y, x => y, e", th), ARROW_LEFT, (p1, p2))
+    assert check_proof(d1, th)
+    assert not check_proof(Proof(parse_sequent("x -> y, x => e, y", th), ARROW_LEFT, (p1, p2)), th)
+    p = make_cut(d1, p2, 0)
+    q = eliminate_cuts(p, th)
+    assert q.conclusion == p.conclusion
+    assert check_proof(q, th, allow_cut=False)
+
+
 def test_cut_elimination_on_explicit_formulation_proofs():
     rng = random.Random(808)
     done = 0

@@ -1,0 +1,69 @@
+"""Structural checks on the package source: no dead module-level names, and
+every rule of every theory in exactly one rule family."""
+
+import ast
+from pathlib import Path
+
+from icrl import prover
+
+SRC = Path(prover.__file__).parent
+
+# Entry points kept for callers outside the package: the tests and the
+# benchmark reset each module's caches between cases.
+EXTERNAL = {"clear_caches"}
+
+
+def _top_level_names(stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def _referenced(stmt) -> set[str]:
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_module_level_name_is_used():
+    definitions = []  # (module, statement index, name)
+    uses = {}  # name -> {(module, statement index)}
+    for path in sorted(SRC.glob("*.py")):
+        for k, stmt in enumerate(ast.parse(path.read_text(encoding="utf-8")).body):
+            for name in _top_level_names(stmt):
+                if not (name.startswith("__") and name.endswith("__")) and name not in EXTERNAL:
+                    definitions.append((path.name, k, name))
+            for name in _referenced(stmt):
+                uses.setdefault(name, set()).add((path.name, k))
+    # a use inside the defining statement itself (recursion) does not count
+    dead = [
+        f"{module}: {name}"
+        for module, k, name in definitions
+        if not uses.get(name, set()) - {(module, k)}
+    ]
+    assert not dead
+
+
+def test_every_rule_is_in_exactly_one_family():
+    families = {
+        "axioms": prover.AXIOMS,
+        "context": set(prover.CONTEXT_RULES),
+        "split": set(prover.SPLIT_RULES),
+        "weakening": prover.WEAKENING,
+        "exchange": prover.EXCHANGE,
+        "cut": {prover.CUT},
+    }
+    for theory, rules in prover._RULES.items():
+        for rule in rules:
+            homes = [name for name, family in families.items() if rule in family]
+            assert len(homes) == 1, (theory, rule, homes)

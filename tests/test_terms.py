@@ -5,6 +5,7 @@ import pytest
 
 from icrl.corpus import gen_term
 from icrl.terms import (
+    MAX_TERM_DEPTH,
     normalize_for_theory,
     E,
     F,
@@ -231,6 +232,24 @@ def test_deep_nesting_is_a_parse_error(parse, text):
     deep = "(" * 1200 + "x" + ")" * 1200
     with pytest.raises(ParseError, match="term nested too deeply"):
         parse(text.format(deep=deep))
+
+
+def depth_chains(n):
+    """Terms of depth n: a join chain, a ~ chain and right-nested residuals."""
+    return ("x" + " \\/ x" * (n - 1), "~" * (n - 1) + "x", "x \\ (" * (n - 1) + "x" + ")" * (n - 1))
+
+
+def test_terms_at_the_depth_limit_round_trip():
+    for text in depth_chains(MAX_TERM_DEPTH):
+        t = parse_term(text)
+        assert parse_term(print_term(t)) == t
+
+
+@pytest.mark.parametrize("text", depth_chains(MAX_TERM_DEPTH + 1), ids=("join", "tilde", "residual"))
+def test_terms_over_the_depth_limit_are_parse_errors(text):
+    for parse, form in ((parse_term, "{t}"), (parse_sequent, "x => {t}"), (parse_leq, "{t} <= x")):
+        with pytest.raises(ParseError, match=f"more than {MAX_TERM_DEPTH} levels"):
+            parse(form.format(t=text))
 
 
 def test_subst_f_to_e_shares_f_free_subterms():

@@ -291,7 +291,7 @@ def _reduce_ca_cases(d1, d2, lpos, rpos, th):
         return _rb_ablg(p, zoneL, zoneR + d2.conclusion.right, th)
     if _is_principal(d1, a1, "right", rpos):
         return _reduce_ca_d2(d1, d2, lpos, rpos, th)
-    reduce = lambda q, at: _reduce_ca(q, d2, lpos, at, th)  # noqa: E731
+    reduce = lambda q, at: _reduce_ca(q, d2, lpos, at, th)
     return _rebuild(d1, a1, _reduce_premises(d1, a1, "right", rpos, reduce), th)
 
 
@@ -332,7 +332,7 @@ def _reduce_ca_d2(d1, d2, lpos, rpos, th):
             rx = _reduce_ca(p1, d1.premises[0], len(L1), 0, th)
             return _reduce_ca(rx, p2, lpos, len(p1.conclusion.right) - 1, th)  # t after D2
         raise CutEliminationError(f"principal {r2} cut against {r1}")
-    reduce = lambda q, at: _reduce_ca(d1, q, at, rpos, th)  # noqa: E731
+    reduce = lambda q, at: _reduce_ca(d1, q, at, rpos, th)
     return _rebuild(d2, a2, _reduce_premises(d2, a2, "left", lpos, reduce), th)
 
 

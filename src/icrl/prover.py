@@ -188,7 +188,7 @@ SPLIT_RULES: dict[str, SplitRule] = {
     ARROW_LEFT: SplitRule("left", LDiv, lambda t: t.l, lambda t: t.r, "after"),
 }
 
-# The other rule families: every rule is a context rule, a split rule or one of these.
+# The other rule families: every rule is a context rule, a split rule, cut or one of these.
 AXIOMS = frozenset({ID, E_RIGHT, F_LEFT, GENAX_ID, GENAX_E})
 WEAKENING = frozenset({W, LG_W, ABLG_W})
 EXCHANGE = frozenset({EL, ER})

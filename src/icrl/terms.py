@@ -290,10 +290,11 @@ class _Parser:
 
     def formula(self) -> Term:
         """A whole term of the input, no deeper than MAX_TERM_DEPTH."""
-        at = self.peek()[2]
+        start = self.pos
         t = self.term()
-        if _depth_over(t, MAX_TERM_DEPTH):
-            raise ParseError(_TOO_DEEP, at)
+        # a token adds at most two levels ('+' adds two): short terms pass
+        if 2 * (self.pos - start) >= MAX_TERM_DEPTH and _depth_over(t, MAX_TERM_DEPTH):
+            raise ParseError(_TOO_DEEP, self.toks[start][2])
         return t
 
     def plus(self) -> Term:
@@ -356,6 +357,8 @@ class _Parser:
         return t
 
     def prefix(self) -> Term:
+        if self.peek()[0] not in ("TILDE", "NEG"):
+            return self.atom()
         units = []  # read in a loop: chains of ~ and - do not recurse
         while self.peek()[0] in ("TILDE", "NEG"):
             kind, _, at = self.next()

@@ -245,7 +245,9 @@ def test_terms_at_the_depth_limit_round_trip():
         assert parse_term(print_term(t)) == t
 
 
-@pytest.mark.parametrize("text", depth_chains(MAX_TERM_DEPTH + 1), ids=("join", "tilde", "residual"))
+@pytest.mark.parametrize(
+    "text", depth_chains(MAX_TERM_DEPTH + 1), ids=("join", "tilde", "residual")
+)
 def test_terms_over_the_depth_limit_are_parse_errors(text):
     for parse, form in ((parse_term, "{t}"), (parse_sequent, "x => {t}"), (parse_leq, "{t} <= x")):
         with pytest.raises(ParseError, match=f"more than {MAX_TERM_DEPTH} levels"):

@@ -155,6 +155,8 @@ def strict_infeasible(sys: StrictSystem) -> bool:
 @lru_cache(maxsize=65536)
 def ablg_valid_leq_e(t: Term, cap: int = lg_oracle.DEFAULT_WORD_CAP) -> bool:
     """True iff t <= e holds in every abelian l-group (f already mapped to e)."""
+    if lg_oracle.z_refutes(t):
+        return False
     for block in abelianize(t, cap):
         if not strict_infeasible(StrictSystem(tuple(block))):
             return False

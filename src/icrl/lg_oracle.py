@@ -10,10 +10,16 @@ That criterion is imported from the ordered-group literature and quarantined
 behind this module: membership of the identity in a finitely generated
 subsemigroup of a free group is decided by rational-subset automaton
 saturation, and is differentially tested against a brute-force closure.
+
+Before any normal form, `z_refutes` evaluates the term in the l-group of
+integers under a fixed bank of valuations; Z is an abelian l-group, so a
+positive value refutes t <= e for this oracle and the abelian one alike.
 """
 
 from __future__ import annotations
 
+import random
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -225,12 +231,108 @@ def semigroup_contains_identity(gens: frozenset[GroupWord]) -> bool:
     return auto.accepts_empty()
 
 
+# --- refutation in Z ------------------------------------------------------------
+
+# The bank's 64 valuations are evaluated at once: a subterm's 64 values are
+# packed into one int, lane i at bits [17 i, 17 i + 17).  A lane holds the
+# value plus _BIAS in its low 16 bits, so the biased field is never negative
+# and orders like the value, and a guard bit above it that is zero between
+# operations.
+_LANES = 64
+_FIELD = 16
+_STRIDE = _FIELD + 1
+_BIAS = 1 << (_FIELD - 1)
+_LIMIT = _BIAS - 1  # |value| <= _LIMIT keeps every lane inside its field
+_BANK_RANGE = 3  # variable values lie in [-3, 3]
+_ONES = sum(1 << (_STRIDE * i) for i in range(_LANES))
+_BIASES = _BIAS * _ONES  # every lane 0
+_GUARDS = (1 << _FIELD) * _ONES
+_POSITIVE = (_BIAS + 1) * _ONES  # every lane 1
+
+
+class _LaneOverflow(Exception):
+    """A lane's value could leave its field."""
+
+
+def _bank_values(name: str) -> tuple[int, ...]:
+    """The variable's value in each valuation of the bank: every value in
+    [-3, 3] nine or ten times, in an order shuffled from the crc32 of the
+    name's bytes, so the bank does not follow PYTHONHASHSEED."""
+    values = [i % (2 * _BANK_RANGE + 1) - _BANK_RANGE for i in range(_LANES)]
+    random.Random(zlib.crc32(name.encode("utf-8"))).shuffle(values)
+    return tuple(values)
+
+
+@lru_cache(maxsize=4096)
+def _var_lanes(name: str) -> int:
+    return sum((v + _BIAS) << (_STRIDE * i) for i, v in enumerate(_bank_values(name)))
+
+
+def _ge_mask(a: int, b: int) -> int:
+    """All 16 field bits of each lane where a >= b, zero elsewhere."""
+    # a lane of (a | guard) - b is 2**16 + a - b > 0: no borrow leaves the
+    # lane, and its guard bit survives exactly when a >= b
+    ge = ((a | _GUARDS) - b) & _GUARDS
+    return ge - (ge >> _FIELD)
+
+
+def z_refutes(t: Term) -> bool:
+    """True if some valuation of the bank makes t > 0 in the integers
+    (meet = min, join = max, fusion = +, residuals = differences).
+
+    Then t <= e fails in Z, hence in every l-group and every abelian
+    l-group.  False proves nothing; it is also the answer whenever a lane's
+    value could leave its 16-bit field, so no lane ever wraps.
+    """
+    memo: dict[int, tuple[int, int]] = {}  # id(subterm) -> (lanes, bound on |value|)
+
+    def go(t):
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit
+        cls = type(t)
+        if cls is Var:
+            out = (_var_lanes(t.name), _BANK_RANGE)
+        elif cls is ConstE:
+            out = (_BIASES, 0)
+        elif cls is ConstF:
+            raise ValueError("pointed term: replace f by e before calling a group oracle")
+        else:
+            a, bound_a = go(t.l)
+            b, bound_b = go(t.r)
+            if cls is Meet or cls is Join:
+                pick = (a ^ b) & _ge_mask(a, b)
+                out = (a ^ pick if cls is Meet else b ^ pick, max(bound_a, bound_b))
+            else:
+                bound = bound_a + bound_b
+                if bound > _LIMIT:
+                    raise _LaneOverflow
+                if cls is Fuse:
+                    out = (a + b - _BIASES, bound)
+                elif cls is LDiv:
+                    out = (b - a + _BIASES, bound)
+                elif cls is RDiv:
+                    out = (a - b + _BIASES, bound)
+                else:
+                    raise TypeError(f"not a term: {t!r}")
+        memo[id(t)] = out
+        return out
+
+    try:
+        lanes, _ = go(t)
+    except _LaneOverflow:
+        return False
+    return _ge_mask(lanes, _POSITIVE) != 0
+
+
 # --- validity ----------------------------------------------------------------
 
 
 @lru_cache(maxsize=65536)
 def lg_valid_leq_e(t: Term, cap: int = DEFAULT_WORD_CAP) -> bool:
     """True iff t <= e holds in every lattice-ordered group."""
+    if z_refutes(t):
+        return False
     jom = _to_jom(t, cap)
     # smallest block first, in a fixed order: the first invalid block ends the
     # check, so iterating the frozenset would make the work follow the hash seed

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from icrl.corpus import gen_proof_with_cuts
+from icrl.corpus import _derivable_premise_for, gen_proof_with_cuts, gen_sequent
 from icrl.cutelim import eliminate_cuts
 from icrl.prover import (
     CUT,
@@ -119,8 +119,6 @@ def test_generated_multi_cut_proofs():
 def test_ca_cut_elimination():
     th = Theory.CA
     rng = random.Random(7)
-    from icrl.corpus import gen_sequent
-
     done = 0
     attempts = 0
     while done < 10 and attempts < 400:
@@ -140,3 +138,38 @@ def test_ca_cut_elimination():
         assert check_proof(q, th, allow_cut=False), s
         done += 1
     assert done >= 10
+
+
+def test_generated_multi_cut_ca_proofs_eliminate():
+    # gen_proof_with_cuts never draws ca (the golden fixture pins its draws),
+    # so this builds ca proofs the same way to reach the multiple-conclusion
+    # reduction with one to three cuts
+    th = Theory.CA
+    rng = random.Random("ca-multi-cut")
+    done = multi = attempts = 0
+    while done < 20 and attempts < 400:
+        attempts += 1
+        s = gen_sequent(rng, num_vars=2, depth=2, max_left=2, max_right=2, pointed=True)
+        out = search(s, th)
+        if not (out.derivable and s.left):
+            continue
+        proof = out.proof
+        for _ in range(rng.randint(1, 3)):
+            concl = proof.conclusion
+            if not concl.left:
+                break
+            pos = rng.randrange(len(concl.left))
+            donor = _derivable_premise_for(rng, concl.left[pos], th)
+            if donor is None:
+                break
+            proof = make_cut(donor, proof, pos)
+        cuts = sum(n.rule == CUT for n in proof.walk())
+        if not cuts or not check_proof(proof, th, allow_cut=True):
+            continue
+        q = eliminate_cuts(proof, th)
+        assert q.conclusion == proof.conclusion, s
+        assert check_proof(q, th, allow_cut=False), s
+        assert all(n.rule != CUT for n in q.walk())
+        done += 1
+        multi += cuts > 1
+    assert done >= 20 and multi >= 5

@@ -8,7 +8,9 @@ points suffice for refutations (scale a rational solution).
 
 The distribution into join-of-meets form is `lg_oracle.distribute`, the same
 algorithm the l-group oracle runs over free-group words, here run over
-exponent vectors (abelianization is a group homomorphism).
+exponent vectors (abelianization is a group homomorphism).  Before it runs,
+`lg_oracle.z_refutes` tries the integers, an abelian l-group, under a fixed
+bank of valuations; a positive value answers INVALID without a normal form.
 
 Infeasibility is decided by exact Fourier-Motzkin elimination (integer rows,
 gcd-normalized).  No floating point anywhere; the tests cross-check it

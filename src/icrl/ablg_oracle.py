@@ -52,13 +52,6 @@ class LinearForm:
     def from_dict(cls, d: dict[str, int]) -> "LinearForm":
         return cls(tuple(sorted((v, c) for v, c in d.items() if c != 0)))
 
-    @classmethod
-    def from_word(cls, word) -> "LinearForm":
-        d: dict[str, int] = {}
-        for v, s in word:
-            d[v] = d.get(v, 0) + s
-        return cls.from_dict(d)
-
     def as_dict(self) -> dict[str, int]:
         return dict(self.coeffs)
 

@@ -11,6 +11,9 @@ import json
 import random
 from dataclasses import dataclass, field
 
+from . import ablg_oracle, finmod, lg_oracle, prover
+from .cutelim import eliminate_cuts
+from .prover import check_proof, make_cut, search, search_lgw_explicit
 from .terms import (
     E,
     F,
@@ -23,8 +26,10 @@ from .terms import (
     Term,
     Theory,
     Var,
+    neg_translation,
     print_sequent,
     print_term,
+    sequent_complexity,
 )
 
 _DEFAULT_VARS = ("x", "y", "z")
@@ -120,9 +125,6 @@ def run_suite(spec: dict) -> SuiteReport:
     formulation-cicrl, conservativity-sirm, conservativity-pbci,
     conservativity-ca, negative-cone, cutelim, soundness-finmod.
     """
-    from . import ablg_oracle, lg_oracle, prover
-    from .prover import search, search_lgw_explicit
-
     kind = spec["kind"]
     count = int(spec.get("count", 50))
     seed = int(spec.get("seed", 0))
@@ -149,8 +151,6 @@ def run_suite(spec: dict) -> SuiteReport:
         i = 0
         while i < count:
             s = gen_sequent(rng, num_vars=num_vars, depth=depth)
-            from .terms import sequent_complexity
-
             if sequent_complexity(s) > max_c:
                 continue
             _record(
@@ -181,8 +181,6 @@ def run_suite(spec: dict) -> SuiteReport:
                 search(s, Theory.CICRL).derivable,
             )
     elif kind == "negative-cone":
-        from .terms import neg_translation
-
         for i in range(count):
             s = gen_term(rng, num_vars=num_vars, depth=depth)
             t = gen_term(rng, num_vars=num_vars, depth=depth)
@@ -193,9 +191,6 @@ def run_suite(spec: dict) -> SuiteReport:
                 prover.decide_equation(neg_translation(s), neg_translation(t), Theory.ICRL),
             )
     elif kind == "cutelim":
-        from .cutelim import eliminate_cuts
-        from .prover import check_proof
-
         made = 0
         attempts = 0
         while made < count and attempts < count * 60:
@@ -209,8 +204,6 @@ def run_suite(spec: dict) -> SuiteReport:
             made += 1
         report.count = made
     elif kind == "soundness-finmod":
-        from . import finmod
-
         theories = [Theory.RL, Theory.IRL, Theory.ICRL, Theory.CICRL, Theory.SIRM, Theory.BCI]
         bound = int(spec.get("max_size", 3))
         for i in range(count):
@@ -237,8 +230,6 @@ def gen_proof_with_cuts(rng: random.Random, num_vars: int = 2, depth: int = 2):
     left side donates a cut formula, and a derivable premise for it is found
     among simple candidate contexts.
     """
-    from .prover import make_cut, search
-
     th = rng.choice(
         [
             Theory.RL,
@@ -276,8 +267,6 @@ def gen_proof_with_cuts(rng: random.Random, num_vars: int = 2, depth: int = 2):
 
 def _derivable_premise_for(rng: random.Random, t: Term, th: Theory):
     """A proof of some context => t, preferring a non-trivial left side."""
-    from .prover import search
-
     candidates = [
         Sequent((E, t), (t,)),
         Sequent((t, E), (t,)),

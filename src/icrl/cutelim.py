@@ -1,27 +1,29 @@
 """Cut elimination as an executable proof transformation.
 
 Topmost cuts are reduced first: premises are made cut-free, then the cut is
-eliminated by induction on (cut-formula complexity, height).  When the cut
-formula is not principal in a premise's last rule, one parametric step per
-side permutes the cut upward: `_locate` says, for every rule family, which
+eliminated by induction on (cut-formula complexity, height).  One reduction
+serves both sequent shapes: it cuts d1 (L1 => R1) against d2 (L2 => R2) on
+the formula at right position rpos of d1 and left position lpos of d2; a
+single-conclusion cut is the case R1 = (s,), rpos = 0.  When the cut formula
+is not principal in a premise's last rule, one parametric step per side
+permutes the cut upward: `_locate` says, for every rule family, which
 premises keep the formula and where.  Principal pairs reduce to cuts on
-proper subterms.  When a weakening deleted the cut formula, the validated
-block is widened instead and the oracle is re-queried for the fresh
-certificate.
+proper subterms, all in `_principal`.  When a weakening deleted the cut
+formula, the validated block is widened instead and the oracle is
+re-queried for the fresh certificate.
 
-Single-conclusion reductions rebuild every node literally with the target
-conclusion.  The multiple-conclusion mode rebuilds nodes in a canonical
-layout (split rules through `prover.assemble_split`) and then restores the
-required order with explicit exchange steps, which its calculus provides
-anyway.
+The shapes differ in two places only.  `_rebuild` builds a permuted node
+literally with the target conclusion in single-conclusion theories; the
+multiple-conclusion mode builds it in a canonical layout (split rules
+through `prover.assemble_split`), and exchange steps, which its calculus
+provides anyway, then restore the required order.  `_widen` widens a left
+block in single-conclusion theories and the back zones in ca.
 """
 
 from __future__ import annotations
 
 from .prover import (
     ABLG_W,
-    ARROW_LEFT,
-    ARROW_RIGHT,
     AXIOMS,
     CONTEXT_RULES,
     CUT,
@@ -39,7 +41,6 @@ from .prover import (
     JOIN_LEFT,
     JOIN_RIGHT_1,
     JOIN_RIGHT_2,
-    LDIV_LEFT,
     LG_W,
     MEET_LEFT_1,
     MEET_LEFT_2,
@@ -140,14 +141,129 @@ def _elim(node: Proof, theory: Theory) -> Proof:
     if node.rule != CUT:
         return Proof(node.conclusion, node.rule, premises, node.certificates)
     rebuilt = Proof(node.conclusion, CUT, premises, node.certificates)
-    analysis = analyze_node(rebuilt, theory)
     d1, d2 = premises
-    if theory.multiple_conclusion:
-        return _reduce_ca(d1, d2, analysis["j"], 0, theory)
-    return _reduce(d1, d2, analysis["j"], theory)
+    return _reduce(d1, d2, analyze_node(rebuilt, theory)["j"], 0, theory)
 
 
-# --- single-conclusion reduction -------------------------------------------------
+def _reduce(d1: Proof, d2: Proof, lpos: int, rpos: int, th: Theory) -> Proof:
+    """Cut-free proof of  L2[:lpos] + L1 + L2[lpos+1:] => (R1 - rpos) + R2  from
+    cut-free d1 (L1 => R1) and d2 (L2 => R2) with R1[rpos] at L2[lpos]."""
+    L1, R1 = d1.conclusion.left, d1.conclusion.right
+    L2, R2 = d2.conclusion.left, d2.conclusion.right
+    assert L2[lpos] == R1[rpos]
+    target = Sequent(L2[:lpos] + L1 + L2[lpos + 1 :], _without(R1, rpos) + R2)
+    out = _cases(d1, d2, lpos, rpos, th, target)
+    if out.conclusion != target:  # a canonical ca layout: restore the order
+        out = _exchange_chain(out, target.left, "left")
+        out = _exchange_chain(out, target.right, "right")
+        if out.conclusion != target:
+            raise CutEliminationError(f"reduction produced {out.conclusion} instead of {target}")
+    return out
+
+
+def _cases(d1, d2, lpos, rpos, th, target):
+    """_reduce's cases: d1's last rule first, then d2's."""
+    L1, R1 = d1.conclusion.left, d1.conclusion.right
+    L2, R2 = d2.conclusion.left, d2.conclusion.right
+    r1, r2 = d1.rule, d2.rule
+
+    # -- d1 is the identity axiom
+    if r1 == ID:
+        return d2
+
+    # -- d1 is a generalized identity axiom: re-insert its validated context
+    if r1 == GENAX_ID:
+        i = analyze_node(d1, th)["i"]
+        out = _wrap_insert(d2, L1[i + 1 :], lpos + 1, th)
+        return _wrap_insert(out, L1[:i], lpos, th)
+
+    # -- the cut formula is parametric in d1's last rule: permute upward
+    if r1 not in AXIOMS:
+        a1 = analyze_node(d1, th)
+        if r1 in WEAKENING and not _locate(d1, a1, "right", rpos):
+            return _widen(d1, a1, "right", rpos, Sequent(_without(L2, lpos), R2), target, th)
+        if not _is_principal(d1, a1, "right", rpos):
+            reduce = lambda q, at: _reduce(q, d2, lpos, at, th)
+            return _rebuild(d1, a1, _reduce_premises(d1, a1, "right", rpos, reduce), target, th)
+
+    # -- d1 introduced the cut formula (a right rule or a unit axiom);
+    #    analyze d2 around the tracked occurrence
+    if r2 == ID:
+        return d1
+
+    if r2 == GENAX_ID:
+        i2 = analyze_node(d2, th)["i"]
+        if i2 == lpos:
+            out = _wrap_insert(d1, L2[:lpos], 0, th)
+            return _wrap_insert(out, L2[lpos + 1 :], lpos + len(L1), th)
+        i2p = i2 + (len(L1) - 1 if i2 > lpos else 0)
+        certs = (
+            _requery(th, Sequent(target.left[:i2p], (E,))),
+            _requery(th, Sequent(target.left[i2p + 1 :], (E,))),
+        )
+        return Proof(target, GENAX_ID, (), certs)
+
+    if r2 == GENAX_E:
+        return Proof(target, GENAX_E, (), (_requery(th, Sequent(target.left, (E,))),))
+
+    if r2 == F_LEFT:  # d1 introduced this f on the right
+        if r1 != F_RIGHT:
+            raise CutEliminationError(f"f cut against {r1}")
+        return d1.premises[0]
+
+    a2 = analyze_node(d2, th)
+    if _is_principal(d2, a2, "left", lpos):
+        return _principal(d1, d2, a2, lpos, rpos, th)
+    if r2 in WEAKENING and not _locate(d2, a2, "left", lpos):
+        return _widen(d2, a2, "left", lpos, Sequent(L1, _without(R1, rpos)), target, th)
+    reduce = lambda q, at: _reduce(d1, q, at, rpos, th)
+    return _rebuild(d2, a2, _reduce_premises(d2, a2, "left", lpos, reduce), target, th)
+
+
+def _principal(d1, d2, a2, lpos, rpos, th):
+    """d1's right rule and d2's left rule both introduce the cut formula."""
+    r1, r2 = d1.rule, d2.rule
+    p = d2.premises
+    if r2 == E_LEFT and r1 == E_RIGHT:
+        return p[0]
+    if r2 == E_LEFT and r1 == GENAX_E:
+        return _wrap_insert(p[0], d1.conclusion.left, lpos, th)
+    if r2 == FUSE_LEFT and r1 == FUSE_RIGHT:
+        q1, q2 = d1.premises
+        return _reduce(q1, _reduce(q2, p[0], lpos + 1, 0, th), lpos, 0, th)
+    if r2 in (MEET_LEFT_1, MEET_LEFT_2) and r1 == MEET_RIGHT:
+        q = d1.premises[0 if r2 == MEET_LEFT_1 else 1]
+        return _reduce(q, p[0], lpos, rpos, th)
+    if r2 == JOIN_LEFT and r1 in (JOIN_RIGHT_1, JOIN_RIGHT_2):
+        q = p[0 if r1 == JOIN_RIGHT_1 else 1]
+        return _reduce(d1.premises[0], q, lpos, rpos, th)
+    if r2 in SPLIT_RULES and r1 in SPLIT_RULES:  # an implication, aux a and kept b
+        # cut premise 1 (G => a, D) into d1's premise on a, then the result,
+        # where b follows D, into premise 2 on b
+        p1, p2 = p
+        aux = 0 if SPLIT_RULES[r1].ctx == "front" else len(d1.conclusion.left)
+        rx = _reduce(p1, d1.premises[0], aux, 0, th)
+        kept = a2["g"] if SPLIT_RULES[r2].ctx == "before" else lpos
+        return _reduce(rx, p2, kept, len(p1.conclusion.right) - 1, th)
+    raise CutEliminationError(f"principal {r2} cut against {r1}")
+
+
+def _widen(node, analysis, side, pos, other, target, th):
+    """node, a weakening, deleted the cut formula (at pos on side): its premise,
+    weakened to take the other cut premise's formulas `other` as well."""
+    if not th.multiple_conclusion:  # widen the left block that node deletes
+        i, j = analysis["i"], analysis["j"]
+        block = target.left[i : j - 1 + len(other.left)]
+        certs = () if node.rule == W else (_requery(th, Sequent(block, (E,))),)
+        return Proof(target, node.rule, node.premises, certs)
+    # ca deletes back zones: node's own, less the cut formula, then the other
+    # premise's formulas; on the right d1's come first, as in the target
+    p = node.premises[0]
+    n, m = len(p.conclusion.left), len(p.conclusion.right)
+    L, R = node.conclusion.left, node.conclusion.right
+    if side == "left":  # node is d2
+        return _rb_ablg(p, _without(L, pos)[n:] + other.left, other.right + R[m:], th)
+    return _rb_ablg(p, L[n:] + other.left, _without(R, pos)[m:] + other.right, th)
 
 
 def _wrap_insert(proof: Proof, block: tuple, at: int, theory: Theory) -> Proof:
@@ -161,182 +277,10 @@ def _wrap_insert(proof: Proof, block: tuple, at: int, theory: Theory) -> Proof:
     return Proof(concl, rule, (proof,), (cert,))
 
 
-def _reduce(d1: Proof, d2: Proof, pos: int, th: Theory) -> Proof:
-    """Cut-free proof of  L2[:pos] + L1 + L2[pos+1:] => u  from cut-free
-    d1 (=> s) and d2 (s at left position pos)."""
-    s = d1.conclusion.right[0]
-    G2 = d1.conclusion.left
-    L2, R2 = d2.conclusion.left, d2.conclusion.right
-    assert L2[pos] == s
-    target = Sequent(L2[:pos] + G2 + L2[pos + 1 :], R2)
-    out = _reduce_cases(d1, d2, pos, th, target)
-    if out.conclusion != target:
-        raise CutEliminationError(
-            f"reduction produced {out.conclusion} instead of {target}"
-        )
-    return out
-
-
-def _reduce_cases(d1, d2, pos, th, target):
-    G2, L2 = d1.conclusion.left, d2.conclusion.left
-    r1, r2 = d1.rule, d2.rule
-
-    # -- d1 is the identity axiom
-    if r1 == ID:
-        return d2
-
-    # -- d1 is a generalized identity axiom: re-insert its validated context
-    if r1 == GENAX_ID:
-        i = analyze_node(d1, th)["i"]
-        out = _wrap_insert(d2, G2[i + 1 :], pos + 1, th)
-        return _wrap_insert(out, G2[:i], pos, th)
-
-    # -- the cut formula is parametric in d1's last rule: permute upward
-    if r1 not in AXIOMS:
-        a1 = analyze_node(d1, th)
-        if not _is_principal(d1, a1, "right", 0):  # s stays the premises' only right formula
-            premises = _reduce_premises(d1, a1, "right", 0, lambda q, _: _reduce(q, d2, pos, th))
-            return Proof(target, r1, premises, d1.certificates)
-
-    # -- d1 introduced the cut formula (a right rule or a unit axiom);
-    #    analyze d2 around the tracked occurrence
-    if r2 == ID:
-        return d1
-
-    if r2 == GENAX_ID:
-        i2 = analyze_node(d2, th)["i"]
-        if i2 == pos:
-            out = _wrap_insert(d1, L2[:pos], 0, th)
-            return _wrap_insert(out, L2[pos + 1 :], pos + len(G2), th)
-        i2p = i2 + (len(G2) - 1 if i2 > pos else 0)
-        certs = (
-            _requery(th, Sequent(target.left[:i2p], (E,))),
-            _requery(th, Sequent(target.left[i2p + 1 :], (E,))),
-        )
-        return Proof(target, GENAX_ID, (), certs)
-
-    if r2 == GENAX_E:
-        return Proof(target, GENAX_E, (), (_requery(th, Sequent(target.left, (E,))),))
-
-    a2 = analyze_node(d2, th)
-    if _is_principal(d2, a2, "left", pos):
-        return _reduce_principal(d1, d2, a2, pos, th)
-    if r2 in WEAKENING and a2["i"] <= pos < a2["j"]:
-        # the cut formula was deleted: widen the block, keep the premise
-        block = L2[a2["i"] : pos] + G2 + L2[pos + 1 : a2["j"]]
-        certs = () if r2 == W else (_requery(th, Sequent(block, (E,))),)
-        return Proof(target, r2, d2.premises, certs)
-    premises = _reduce_premises(d2, a2, "left", pos, lambda q, at: _reduce(d1, q, at, th))
-    return Proof(target, r2, premises, d2.certificates)
-
-
-def _reduce_principal(d1, d2, a2, pos, th):
-    """d1's right rule and d2's left rule both introduce the cut formula."""
-    r1, r2 = d1.rule, d2.rule
-    p = d2.premises
-    if r2 == E_LEFT:
-        if r1 == E_RIGHT:
-            return p[0]
-        if r1 == GENAX_E:
-            return _wrap_insert(p[0], d1.conclusion.left, pos, th)
-        raise CutEliminationError(f"unit cut against {r1}")
-    if r2 == FUSE_LEFT:
-        q1, q2 = d1.premises
-        return _reduce(q1, _reduce(q2, p[0], pos + 1, th), pos, th)
-    if r2 == JOIN_LEFT:
-        return _reduce(d1.premises[0], p[0 if r1 == JOIN_RIGHT_1 else 1], pos, th)
-    if r2 in (MEET_LEFT_1, MEET_LEFT_2):
-        return _reduce(d1.premises[0 if r2 == MEET_LEFT_1 else 1], p[0], pos, th)
-    # a residual: cut premise 1 (G => s) into d1's premise, then that into premise 2
-    p1, p2 = p
-    front = r2 == LDIV_LEFT  # s \ t is cut against s, G2 => t; t / s against G2, s => t
-    rx = _reduce(p1, d1.premises[0], 0 if front else len(d1.conclusion.left), th)
-    return _reduce(rx, p2, a2["g"] if front else pos, th)
-
-
-# --- multiple-conclusion reduction ------------------------------------------------
-
-
-def _patch(proof: Proof, target: Sequent) -> Proof:
-    out = _exchange_chain(proof, target.left, "left")
-    out = _exchange_chain(out, target.right, "right")
-    if out.conclusion != target:
-        raise CutEliminationError(f"patched to {out.conclusion}, wanted {target}")
-    return out
-
-
-def _reduce_ca(d1: Proof, d2: Proof, lpos: int, rpos: int, th: Theory) -> Proof:
-    """Cut-free proof of  L2[:lpos]+L1+L2[lpos+1:] => (R1 - rpos) + R2."""
-    L1, R1 = d1.conclusion.left, d1.conclusion.right
-    L2, R2 = d2.conclusion.left, d2.conclusion.right
-    s = R1[rpos]
-    assert L2[lpos] == s
-    target = Sequent(L2[:lpos] + L1 + L2[lpos + 1 :], _without(R1, rpos) + R2)
-    out = _reduce_ca_cases(d1, d2, lpos, rpos, th)
-    return _patch(out, target)
-
-
-def _reduce_ca_cases(d1, d2, lpos, rpos, th):
-    r1 = d1.rule
-    if r1 == ID:
-        return d2
-    if r1 == E_RIGHT:  # s = e, principal
-        return _reduce_ca_d2(d1, d2, lpos, rpos, th)
-    a1 = analyze_node(d1, th)
-    if r1 in WEAKENING and not _locate(d1, a1, "right", rpos):
-        # widening: s sits inside the validated right zone
-        p = d1.premises[0]
-        zoneL = d1.conclusion.left[len(p.conclusion.left) :] + _without(d2.conclusion.left, lpos)
-        zoneR = _without(d1.conclusion.right, rpos)[len(p.conclusion.right) :]
-        return _rb_ablg(p, zoneL, zoneR + d2.conclusion.right, th)
-    if _is_principal(d1, a1, "right", rpos):
-        return _reduce_ca_d2(d1, d2, lpos, rpos, th)
-    reduce = lambda q, at: _reduce_ca(q, d2, lpos, at, th)
-    return _rebuild(d1, a1, _reduce_premises(d1, a1, "right", rpos, reduce), th)
-
-
-def _reduce_ca_d2(d1, d2, lpos, rpos, th):
-    """d1 is principal at the tracked occurrence; permute through d2."""
-    L1, R1 = d1.conclusion.left, d1.conclusion.right
-    r1, r2 = d1.rule, d2.rule
-
-    if r2 == ID:
-        return d1
-    if r2 == F_LEFT:
-        # principal f cut: d1 introduced this f on the right
-        if r1 != F_RIGHT:
-            raise CutEliminationError(f"f cut against {r1}")
-        return d1.premises[0]
-    a2 = analyze_node(d2, th)
-    if r2 in WEAKENING and not _locate(d2, a2, "left", lpos):
-        # widening: s sits inside the validated left zone
-        p = d2.premises[0]
-        zoneL = _without(d2.conclusion.left, lpos)[len(p.conclusion.left) :]
-        zoneR = d2.conclusion.right[len(p.conclusion.right) :]
-        return _rb_ablg(p, zoneL + L1, _without(R1, rpos) + zoneR, th)
-    if _is_principal(d2, a2, "left", lpos):  # d1 introduced s at rpos
-        p = d2.premises
-        if r2 == E_LEFT and r1 == E_RIGHT:
-            return p[0]
-        if r2 == FUSE_LEFT and r1 == FUSE_RIGHT:
-            q1, q2 = d1.premises
-            return _reduce_ca(q1, _reduce_ca(q2, p[0], lpos + 1, 0, th), lpos, 0, th)
-        if r2 in (MEET_LEFT_1, MEET_LEFT_2) and r1 == MEET_RIGHT:
-            q = d1.premises[0 if r2 == MEET_LEFT_1 else 1]
-            return _reduce_ca(q, p[0], lpos, rpos, th)
-        if r2 == JOIN_LEFT and r1 in (JOIN_RIGHT_1, JOIN_RIGHT_2):
-            q = p[0 if r1 == JOIN_RIGHT_1 else 1]
-            return _reduce_ca(d1.premises[0], q, lpos, rpos, th)
-        if r2 == ARROW_LEFT and r1 == ARROW_RIGHT:
-            p1, p2 = p
-            rx = _reduce_ca(p1, d1.premises[0], len(L1), 0, th)
-            return _reduce_ca(rx, p2, lpos, len(p1.conclusion.right) - 1, th)  # t after D2
-        raise CutEliminationError(f"principal {r2} cut against {r1}")
-    reduce = lambda q, at: _reduce_ca(d1, q, at, rpos, th)
-    return _rebuild(d2, a2, _reduce_premises(d2, a2, "left", lpos, reduce), th)
-
-
-# canonical multiple-conclusion rebuilds (order fixed afterwards by _patch)
+def _rb_ablg(p: Proof, zoneL: tuple, zoneR: tuple, th: Theory) -> Proof:
+    cert = _requery(th, Sequent(zoneL, zoneR))
+    concl = Sequent(p.conclusion.left + zoneL, p.conclusion.right + zoneR)
+    return Proof(concl, ABLG_W, (p,), (cert,))
 
 
 def _move(proof: Proof, side: str, t, back: bool = False) -> Proof:
@@ -345,10 +289,13 @@ def _move(proof: Proof, side: str, t, back: bool = False) -> Proof:
     return _exchange_chain(proof, rest + (t,) if back else (t,) + rest, side)
 
 
-def _rebuild(node: Proof, analysis: dict, premises: tuple, th: Theory) -> Proof:
-    """node's rule over rebuilt premises, in a canonical layout."""
+def _rebuild(node: Proof, analysis: dict, premises: tuple, target: Sequent, th: Theory) -> Proof:
+    """node's rule over reduced premises: literally with the target conclusion
+    in single-conclusion theories, in a canonical layout in ca."""
     rule = node.rule
-    if rule in EXCHANGE:  # _patch restores any order
+    if not th.multiple_conclusion:
+        return Proof(target, rule, premises, node.certificates)
+    if rule in EXCHANGE:  # _reduce restores any order
         return premises[0]
     if rule in WEAKENING:
         p = node.premises[0].conclusion
@@ -381,9 +328,3 @@ def _rebuild(node: Proof, analysis: dict, premises: tuple, th: Theory) -> Proof:
         out.append(_exchange_chain(q, other, "right" if left else "left"))
     concl = Sequent((t,) + rest, other) if left else Sequent(other, (t,) + rest)
     return Proof(concl, rule, tuple(out))
-
-
-def _rb_ablg(p: Proof, zoneL: tuple, zoneR: tuple, th: Theory) -> Proof:
-    cert = _requery(th, Sequent(zoneL, zoneR))
-    concl = Sequent(p.conclusion.left + zoneL, p.conclusion.right + zoneR)
-    return Proof(concl, ABLG_W, (p,), (cert,))

@@ -462,14 +462,10 @@ def _check_node(node: Proof, theory: Theory, allow_cut: bool, path: tuple[int, .
         raise CheckFailure(path, "cut rule used but cuts are disallowed")
     if node.rule not in allowed_rules(theory):
         raise CheckFailure(path, f"rule {node.rule} not available in theory {theory.value}")
-    ok = False
-    for analysis in _analyses(node, theory):
-        obligations = analysis.get("obligations", [])
-        if all(oracle_valid(theory.oracle, s) for s in obligations):
-            ok = True
-            break
-    if not ok:
-        raise CheckFailure(path, f"node does not instantiate rule {node.rule}")
+    try:
+        analyze_node(node, theory)
+    except CheckFailure as e:
+        raise CheckFailure(path, e.message) from None
     # recorded certificates must themselves re-validate
     for cert in node.certificates:
         if theory.oracle is None or cert.oracle != theory.oracle:

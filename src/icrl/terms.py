@@ -135,11 +135,6 @@ class Theory(enum.Enum):
         return None
 
     @property
-    def has_weakening(self) -> bool:
-        """Unrestricted weakening (integral mode)."""
-        return self is Theory.IRL
-
-    @property
     def has_lattice_ops(self) -> bool:
         return self in (Theory.RL, Theory.IRL, Theory.ICRL, Theory.CICRL, Theory.CA)
 

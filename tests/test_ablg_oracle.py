@@ -15,7 +15,7 @@ from icrl.ablg_oracle import (
 from icrl import ablg_oracle, lg_oracle
 from icrl.corpus import gen_sequent, gen_term
 from icrl.terms import Sequent, Theory, Var, parse_sequent, parse_term
-from tests_helpers_oracles import gordan_infeasible
+from tests_helpers_oracles import gordan_infeasible, linear_form_of_word
 
 x, y = Var("x"), Var("y")
 
@@ -73,7 +73,7 @@ def test_abelianize_is_the_collapsed_group_normal_form():
         t = gen_term(rng, num_vars=3, depth=rng.randint(1, 4))
         words = lg_oracle.to_gnf(t).meetands_by_joinand
         collapsed = lg_oracle._absorb(
-            frozenset(frozenset(LinearForm.from_word(w) for w in block) for block in words)
+            frozenset(frozenset(linear_form_of_word(w) for w in block) for block in words)
         )
         expected = tuple(sorted(tuple(sorted(b, key=lambda f: f.coeffs)) for b in collapsed))
         assert abelianize(t) == expected, t

@@ -6,12 +6,18 @@ from icrl.corpus import _derivable_premise_for, gen_proof_with_cuts, gen_sequent
 from icrl.cutelim import eliminate_cuts
 from icrl.prover import (
     CUT,
+    ER,
+    ID,
+    JOIN_LEFT,
+    JOIN_RIGHT_1,
+    MEET_LEFT_1,
+    MEET_RIGHT,
     Proof,
     check_proof,
     make_cut,
     search,
 )
-from icrl.terms import Join, LDiv, Sequent, Theory, Var, parse_sequent, parse_term
+from icrl.terms import F, Join, LDiv, Meet, Sequent, Theory, Var, parse_sequent, parse_term
 
 x, y = Var("x"), Var("y")
 
@@ -173,3 +179,28 @@ def test_generated_multi_cut_ca_proofs_eliminate():
         done += 1
         multi += cuts > 1
     assert done >= 20 and multi >= 5
+
+
+@pytest.mark.parametrize("connective", ["meet", "join"])
+def test_ca_principal_cut_behind_a_right_context(connective):
+    # d1's right rule introduces the cut formula behind f and an er step
+    # moves it to the front for the cut, so the principal cut is reduced at
+    # right position 1 of d1's last right rule
+    th = Theory.CA
+    if connective == "meet":
+        s = Meet(x, y)
+        premises = (proof_of("x /\\ y => f, x", th), proof_of("x /\\ y => f, y", th))
+        d1 = Proof(Sequent((s,), (F, s)), MEET_RIGHT, premises)
+        d2 = Proof(Sequent((s,), (x,)), MEET_LEFT_1, (Proof(Sequent((x,), (x,)), ID),))
+    else:
+        s = Join(x, y)
+        d1 = Proof(Sequent((x,), (F, s)), JOIN_RIGHT_1, (proof_of("x => f, x", th),))
+        premises = (proof_of("x => x \\/ y", th), proof_of("y => x \\/ y", th))
+        d2 = Proof(Sequent((s,), (s,)), JOIN_LEFT, premises)
+    d1 = Proof(Sequent(d1.conclusion.left, (s, F)), ER, (d1,))
+    p = make_cut(d1, d2, 0)
+    assert check_proof(p, th, allow_cut=True)
+    q = eliminate_cuts(p, th)
+    assert q.conclusion == p.conclusion
+    assert check_proof(q, th, allow_cut=False)
+    assert all(n.rule != CUT for n in q.walk())

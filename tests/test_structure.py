@@ -1,5 +1,5 @@
-"""Structural checks on the package source: no dead module-level names, and
-every rule of every theory in exactly one rule family."""
+"""Structural checks on the package source: no dead module-level names or
+class members, and every rule of every theory in exactly one rule family."""
 
 import ast
 from pathlib import Path
@@ -50,6 +50,33 @@ def test_every_module_level_name_is_used():
         f"{module}: {name}"
         for module, k, name in definitions
         if not uses.get(name, set()) - {(module, k)}
+    ]
+    assert not dead
+
+
+def test_every_method_and_property_is_used():
+    # a member counts as used when its name is read somewhere in the package
+    # outside its own definition; dunder methods are called by the language
+    members = []  # (module, name, first line, last line)
+    uses = {}  # name -> [(module, line)]
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        if not (stmt.name.startswith("__") and stmt.name.endswith("__")):
+                            members.append((path.name, stmt.name, stmt.lineno, stmt.end_lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append((path.name, node.lineno))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.setdefault(node.id, []).append((path.name, node.lineno))
+    dead = [
+        f"{module}: {name}"
+        for module, name, first, last in members
+        if not any(
+            m != module or not first <= line <= last for m, line in uses.get(name, ())
+        )
     ]
     assert not dead
 

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from icrl.ablg_oracle import StrictSystem
+from icrl.ablg_oracle import LinearForm, StrictSystem
 from icrl.lg_oracle import concat_words
 
 
@@ -23,6 +23,14 @@ def bfs_identity_oracle(gens, depth: int) -> bool:
         frontier = {concat_words(w, g) for w in frontier for g in gens} - seen
         seen |= frontier
     return () in seen
+
+
+def linear_form_of_word(word) -> LinearForm:
+    """The exponent vector of a group word: its image in the free abelian group."""
+    d: dict[str, int] = {}
+    for v, s in word:
+        d[v] = d.get(v, 0) + s
+    return LinearForm.from_dict(d)
 
 
 def _phase1_feasible(eqs: list[list[Fraction]], rhs: list[Fraction]) -> bool:

@@ -82,13 +82,13 @@ def _lf_gen(name: str) -> LinearForm:
     return LinearForm(((name, 1),))
 
 
-def abelianize(t: Term, cap: int = lg_oracle.DEFAULT_WORD_CAP) -> tuple[tuple[LinearForm, ...], ...]:
+def abelianize(t: Term) -> tuple[tuple[LinearForm, ...], ...]:
     """Join-of-meets of exponent vectors: the group normal form, collapsed.
 
     Distributes in the abelian image directly, so the vectors merge during
     distribution, which keeps intermediate sizes down.
     """
-    blocks = lg_oracle.distribute(t, _lf_gen, LinearForm(()), _lf_add, _lf_neg, cap)
+    blocks = lg_oracle.distribute(t, _lf_gen, LinearForm(()), _lf_add, _lf_neg)
     return tuple(sorted(tuple(sorted(b, key=lambda f: f.coeffs)) for b in blocks))
 
 
@@ -148,11 +148,11 @@ def strict_infeasible(sys: StrictSystem) -> bool:
 
 
 @lru_cache(maxsize=65536)
-def ablg_valid_leq_e(t: Term, cap: int = lg_oracle.DEFAULT_WORD_CAP) -> bool:
+def ablg_valid_leq_e(t: Term) -> bool:
     """True iff t <= e holds in every abelian l-group (f already mapped to e)."""
     if lg_oracle.z_refutes(t):
         return False
-    for block in abelianize(t, cap):
+    for block in abelianize(t):
         if not strict_infeasible(StrictSystem(tuple(block))):
             return False
     return True
@@ -172,9 +172,9 @@ def _sequent_goal(s: Sequent) -> Term:
 
 
 @lru_cache(maxsize=65536)
-def ablg_valid_sequent(s: Sequent, cap: int = lg_oracle.DEFAULT_WORD_CAP) -> bool:
+def ablg_valid_sequent(s: Sequent) -> bool:
     """Sequent validity over abelian l-groups, both sequent shapes."""
-    return ablg_valid_leq_e(_sequent_goal(s), cap)
+    return ablg_valid_leq_e(_sequent_goal(s))
 
 
 # --- integer min/max/+ evaluation ----------------------------------------------
@@ -200,21 +200,22 @@ def eval_int(t: Term, valuation: dict[str, int]) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
-def find_integer_refutation(s: Sequent, bound: int = 3) -> dict[str, int] | None:
+# find_integer_refutation tries every variable value in [-GRID_BOUND, GRID_BOUND]
+GRID_BOUND = 3
+
+
+def find_integer_refutation(s: Sequent) -> dict[str, int] | None:
     """Grid search for an integer valuation falsifying the sequent in Z.
 
     Sound for both oracles (Z is an abelian l-group, and every abelian
     l-group is an l-group); finding nothing proves nothing.
     """
-    return find_integer_refutation_leq_e(_sequent_goal(s), bound)
-
-
-def find_integer_refutation_leq_e(t: Term, bound: int = 3) -> dict[str, int] | None:
+    t = _sequent_goal(s)
     names = sorted(variables(t))
-    tt = subst_f_to_e(t)
-    for point in itertools.product(range(-bound, bound + 1), repeat=len(names)):
+    grid = range(-GRID_BOUND, GRID_BOUND + 1)
+    for point in itertools.product(grid, repeat=len(names)):
         val = dict(zip(names, point))
-        if eval_int(tt, val) > 0:
+        if eval_int(t, val) > 0:
             return val
     return None
 

@@ -45,6 +45,7 @@ def cmd_prove(args) -> int:
         if args.explicit_lgw
         else prover.search(s, th)
     )
+    verdict = "DERIVABLE" if out.derivable else "NOT DERIVABLE"
     payload = {
         "command": "prove",
         "theory": th.value,
@@ -53,7 +54,7 @@ def cmd_prove(args) -> int:
         "derivable": out.derivable,
         "nodes_expanded": out.nodes_expanded,
         "max_depth": out.max_depth,
-        "lines": [f"{'DERIVABLE' if out.derivable else 'NOT DERIVABLE'}: {print_sequent(s)} [{th.value}]"],
+        "lines": [f"{verdict}: {print_sequent(s)} [{th.value}]"],
     }
     if out.derivable and args.emit_proof:
         with open(args.emit_proof, "w", encoding="utf-8") as fh:
@@ -119,7 +120,7 @@ def cmd_oracle(args) -> int:
         "lines": ["VALID" if valid else "INVALID"],
     }
     if not valid:
-        refutation = ablg_oracle.find_integer_refutation(s, bound=3)
+        refutation = ablg_oracle.find_integer_refutation(s)
         if refutation is not None:
             payload["refuting_valuation"] = refutation
             payload["lines"].append(
@@ -127,7 +128,10 @@ def cmd_oracle(args) -> int:
                 + ", ".join(f"{k} = {v}" for k, v in sorted(refutation.items()))
             )
         elif args.oracle == "lg":
-            payload["lines"].append("no abelian refutation in [-3,3]; instance may need a non-abelian order")
+            box = ablg_oracle.GRID_BOUND
+            payload["lines"].append(
+                f"no abelian refutation in [-{box},{box}]; instance may need a non-abelian order"
+            )
     _emit(payload, args.format)
     return AFFIRMATIVE if valid else NEGATIVE
 
@@ -141,7 +145,7 @@ def cmd_finmod_validate(args) -> int:
         "signature": alg.signature,
         "violations": violations,
         "valid": not violations,
-        "lines": (["VALID ALGEBRA"] if not violations else ["INVALID:"] + [f"  {v}" for v in violations]),
+        "lines": ["INVALID:"] + [f"  {v}" for v in violations] if violations else ["VALID ALGEBRA"],
     }
     _emit(payload, args.format)
     return AFFIRMATIVE if not violations else NEGATIVE
@@ -149,11 +153,8 @@ def cmd_finmod_validate(args) -> int:
 
 def cmd_finmod_refute(args) -> int:
     th = theory_from_name(args.theory) if args.theory else None
-    if th is not None and th.multiple_conclusion:
-        cls, commutative = "casari", True
-    elif th is not None:
-        cls = "sirmonoid" if th.is_m_sequent else ("rl" if th in (Theory.RL,) else "integral")
-        commutative = th.commutative
+    if th is not None:
+        cls, commutative = finmod.countermodel_class(th)
     else:
         cls, commutative = args.cls, args.commutative
     s = parse_sequent(args.sequent, th or Theory.ICRL)

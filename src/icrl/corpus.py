@@ -214,8 +214,8 @@ def run_suite(spec: dict) -> SuiteReport:
             if not search(s, th).derivable:
                 report.agreements += 1
                 continue
-            cls = "sirmonoid" if th.is_m_sequent else "integral"
-            cm = finmod.refute(s, bound, cls, commutative=th.commutative)
+            cls, commutative = finmod.countermodel_class(th)
+            cm = finmod.refute(s, bound, cls, commutative=commutative)
             _record(report, f"{i}: {print_sequent(s)} [{th.value}]", None, cm)
     else:
         raise ValueError(f"unknown suite kind {kind!r}")

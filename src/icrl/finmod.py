@@ -33,6 +33,7 @@ from .terms import (
     RDiv,
     Sequent,
     Term,
+    Theory,
     Var,
     sequent_variables,
 )
@@ -63,12 +64,12 @@ class FiniteAlgebra:
         return "pbci"
 
     def le(self, a: int, b: int) -> bool:
-        """The algebra's order: lattice order, or the residual-derived one."""
+        """The algebra's order: lattice order, or the residual one when there is no meet."""
+        if self.meet is None:
+            return self.ldiv[a][b] == self.e
         if self.leq is not None:
             return self.leq[a][b]
-        if self.meet is not None:
-            return self.meet[a][b] == a
-        return self.ldiv[a][b] == self.e
+        return self.meet[a][b] == a
 
     def is_commutative(self) -> bool:
         if self.fuse is None:
@@ -293,6 +294,8 @@ def _validate_sirmonoid(a: FiniteAlgebra) -> list[str]:
             v.append(f"missing table {key}")
     if a.meet is not None or a.join is not None:
         v.append("sirmonoid signature must not carry lattice tables")
+    if a.leq is not None:
+        v.append("sirmonoid signature must not carry an order table")
     if v:
         return v
     v.extend(_validate_monoid(a))
@@ -319,6 +322,8 @@ def _validate_pbci(a: FiniteAlgebra) -> list[str]:
         return v
     if a.ldiv is None or a.rdiv is None:
         return ["missing table ldiv or rdiv"]
+    if a.leq is not None:
+        return ["pbci signature must not carry an order table"]
     v.extend(_order_checks(a))
     v.extend(_sirmonoid_axioms(a, with_fuse=False))
     return v
@@ -656,7 +661,8 @@ def _enumerate_sirmonoids(n: int):
         for below in orders:
             # monotonicity of fusion
             if any(
-                below[x][y] and not (below[fuse[z][x]][fuse[z][y]] and below[fuse[x][z]][fuse[y][z]])
+                below[x][y]
+                and not (below[fuse[z][x]][fuse[z][y]] and below[fuse[x][z]][fuse[y][z]])
                 for x in range(n)
                 for y in range(n)
                 for z in range(n)
@@ -746,6 +752,17 @@ def _eval_sequent(a: FiniteAlgebra, s: Sequent, valuation: dict[str, int]) -> bo
     return a.le(lv, rv)
 
 
+def countermodel_class(th: Theory) -> tuple[str, bool]:
+    """The algebra class `refute` searches for the theory, and whether only
+    its commutative members count; each such algebra is a model of the
+    theory, so a countermodel there refutes derivability."""
+    if th.multiple_conclusion:
+        return "casari", True
+    if not th.has_lattice_ops:
+        return "sirmonoid", th.commutative
+    return ("rl" if th is Theory.RL else "integral"), th.commutative
+
+
 def refute(
     s: Sequent,
     size_bound: int,
@@ -797,7 +814,7 @@ def negative_cone(a: FiniteAlgebra) -> FiniteAlgebra:
     return FiniteAlgebra(
         size=m,
         e=idx[a.e],
-        leq=tuple(tuple(a.leq[x][y] if a.leq else a.meet[x][y] == x for y in universe) for x in universe),
+        leq=tuple(tuple(a.le(x, y) for y in universe) for x in universe),
         meet=sub(a.meet),
         join=sub(a.join),
         fuse=sub(a.fuse),

@@ -7,9 +7,13 @@ subsemigroup criterion: a meet of group words is <= e in every l-group
 exactly when the identity lies in the subsemigroup its words generate.
 
 That criterion is imported from the ordered-group literature and quarantined
-behind this module: membership of the identity in a finitely generated
-subsemigroup of a free group is decided by rational-subset automaton
-saturation, and is differentially tested against a brute-force closure.
+behind this module: `semigroup_contains_identity` decides membership of the
+identity in a finitely generated subsemigroup of a free group by
+rational-subset automaton saturation, and is differentially tested against a
+brute-force closure.
+
+Every entry point takes only its query; the one resource limit is WORD_CAP,
+past which distribution raises GnfSizeError rather than truncating.
 
 Before any normal form, `z_refutes` evaluates the term in the l-group of
 integers under a fixed bank of valuations; Z is an abelian l-group, so a
@@ -30,11 +34,12 @@ from .terms import ConstE, ConstF, Fuse, Join, LDiv, Meet, RDiv, Sequent, Term, 
 Letter = tuple[str, int]
 GroupWord = tuple[Letter, ...]
 
-DEFAULT_WORD_CAP = 100_000
+# the most group elements a join-of-meets may hold during distribution
+WORD_CAP = 100_000
 
 
 class GnfSizeError(RuntimeError):
-    """Distribution to join-of-meets form exceeded the configured word cap."""
+    """Distribution to join-of-meets form exceeded WORD_CAP."""
 
 
 @dataclass(frozen=True)
@@ -76,19 +81,19 @@ def _absorb(jom):
     return frozenset(kept)
 
 
-def distribute(t: Term, gen, unit, mul, inv, cap: int) -> frozenset:
+def distribute(t: Term, gen, unit, mul, inv) -> frozenset:
     """Join-of-meets equal to t, distributed over a group: `gen(name)` is a
     variable's generator, `unit` the identity, `mul` the product and `inv`
     the inverse.
 
     Residuals become products with an inverse, so one algorithm serves the
     free group (words) and its abelian image (exponent vectors).  Raises
-    GnfSizeError once the total number of elements exceeds `cap`.
+    GnfSizeError once the total number of elements exceeds WORD_CAP.
     """
 
     def capped(j):
-        if sum(len(block) for block in j) > cap:
-            raise GnfSizeError(f"normal form exceeded the word cap ({cap})")
+        if sum(len(block) for block in j) > WORD_CAP:
+            raise GnfSizeError(f"normal form exceeded the word cap ({WORD_CAP})")
         return j
 
     def fuse(a, b):
@@ -135,100 +140,72 @@ def _word_gen(name: str) -> GroupWord:
     return ((name, 1),)
 
 
-def _to_jom(t: Term, cap: int):
+def _to_jom(t: Term):
     """Join-of-meets of freely reduced words equal to t in every l-group."""
-    return distribute(t, _word_gen, (), concat_words, invert_word, cap)
+    return distribute(t, _word_gen, (), concat_words, invert_word)
 
 
-def to_gnf(t: Term, cap: int = DEFAULT_WORD_CAP) -> GroupNormalForm:
+def to_gnf(t: Term) -> GroupNormalForm:
     """Join-of-meets of group words equal to t in every l-group."""
-    jom = _to_jom(t, cap)
+    jom = _to_jom(t)
     return GroupNormalForm(tuple(sorted(tuple(sorted(m)) for m in jom)))
 
 
 # --- rational-subset automaton ----------------------------------------------
 
 
-class WordAutomaton:
-    """Finite automaton over signed letters with epsilon edges.
-
-    Built to accept every non-empty concatenation of the generator words and
-    then saturated: whenever a state reaches another by a letter, epsilon
-    steps, and that letter's inverse, an epsilon edge is added.  After
-    saturation the empty word is accepted exactly when some non-empty product
-    of generators freely reduces to the identity.
-    """
-
-    def __init__(self, generators):
-        self.letter_edges: list[tuple[int, Letter, int]] = []
-        self.eps: dict[int, set[int]] = {}
-        self.start = 0
-        self.final = 1
-        next_state = 2
-        for word in generators:
-            prev = self.start
-            for i, letter in enumerate(word):
-                dst = self.final if i == len(word) - 1 else next_state
-                if dst == next_state:
-                    next_state += 1
-                self.letter_edges.append((prev, letter, dst))
-                prev = dst
-            if not word:
-                self._add_eps(self.start, self.final)
-        self._add_eps(self.final, self.start)  # loop back for further generators
-        self.num_states = next_state
-
-    def _add_eps(self, p: int, q: int) -> bool:
-        dsts = self.eps.setdefault(p, set())
-        if q in dsts:
-            return False
-        dsts.add(q)
-        return True
-
-    def eps_closure(self) -> dict[int, set[int]]:
-        closure = {}
-        for s in range(self.num_states):
-            reach = {s}
-            stack = [s]
-            while stack:
-                q = stack.pop()
-                for r in self.eps.get(q, ()):
-                    if r not in reach:
-                        reach.add(r)
-                        stack.append(r)
-            closure[s] = reach
-        return closure
-
-    def saturate(self):
-        """Add epsilon edges p -> q whenever p -a-> r =eps=> s -a^-1-> q."""
-        by_src: dict[tuple[int, Letter], set[int]] = {}
-        for p, a, q in self.letter_edges:
-            by_src.setdefault((p, a), set()).add(q)
-        changed = True
-        while changed:
-            changed = False
-            closure = self.eps_closure()
-            for p, a, r in self.letter_edges:
-                inv = (a[0], -a[1])
-                for s in closure[r]:
-                    for q in by_src.get((s, inv), ()):
-                        if self._add_eps(p, q):
-                            changed = True
-
-    def accepts_empty(self) -> bool:
-        return self.final in self.eps_closure()[self.start]
-
-
 @lru_cache(maxsize=65536)
 def semigroup_contains_identity(gens: frozenset[GroupWord]) -> bool:
-    """True iff some non-empty product of the generators reduces to e."""
+    """True iff some non-empty product of the generators reduces to e.
+
+    Decided on a finite automaton over signed letters with epsilon edges that
+    accepts every non-empty concatenation of the generators: each generator
+    is a path of letter edges from state 0 to state 1, and an epsilon edge
+    leads from 1 back to 0 for further generators.  Saturation adds an
+    epsilon edge p -> q whenever p -a-> r =eps=> s -a^-1-> q; afterwards the
+    automaton accepts the empty word exactly when some non-empty product of
+    generators freely reduces to the identity.
+    """
     if not gens:
         raise ValueError("generator set must be non-empty")
     if () in gens:
         return True
-    auto = WordAutomaton(sorted(gens))
-    auto.saturate()
-    return auto.accepts_empty()
+    targets: dict[tuple[int, Letter], set[int]] = {}  # (state, letter) -> targets
+    inverse_edges = []  # (p, a^-1, r) for every letter edge p -a-> r
+    num_states = 2
+    for word in sorted(gens):
+        prev = 0
+        for i, (v, sign) in enumerate(word):
+            if i == len(word) - 1:
+                dst = 1
+            else:
+                dst, num_states = num_states, num_states + 1
+            targets.setdefault((prev, (v, sign)), set()).add(dst)
+            inverse_edges.append((prev, (v, -sign), dst))
+            prev = dst
+    eps: dict[int, set[int]] = {1: {0}}
+    changed = True
+    while changed:
+        changed = False
+        closure = []
+        for s in range(num_states):
+            reach = {s}
+            stack = [s]
+            while stack:
+                for r in eps.get(stack.pop(), ()):
+                    if r not in reach:
+                        reach.add(r)
+                        stack.append(r)
+            closure.append(reach)
+        for p, inv, r in inverse_edges:
+            for s in closure[r]:
+                for q in targets.get((s, inv), ()):
+                    dsts = eps.setdefault(p, set())
+                    if q not in dsts:
+                        dsts.add(q)
+                        changed = True
+    # the last round added nothing, so its closure is the saturated one
+    return 1 in closure[0]
 
 
 # --- refutation in Z ------------------------------------------------------------
@@ -329,11 +306,11 @@ def z_refutes(t: Term) -> bool:
 
 
 @lru_cache(maxsize=65536)
-def lg_valid_leq_e(t: Term, cap: int = DEFAULT_WORD_CAP) -> bool:
+def lg_valid_leq_e(t: Term) -> bool:
     """True iff t <= e holds in every lattice-ordered group."""
     if z_refutes(t):
         return False
-    jom = _to_jom(t, cap)
+    jom = _to_jom(t)
     # smallest block first, in a fixed order: the first invalid block ends the
     # check, so iterating the frozenset would make the work follow the hash seed
     blocks = sorted(jom, key=lambda block: (len(block), sorted(block)))
@@ -341,7 +318,7 @@ def lg_valid_leq_e(t: Term, cap: int = DEFAULT_WORD_CAP) -> bool:
 
 
 @lru_cache(maxsize=65536)
-def lg_valid_sequent(s: Sequent, cap: int = DEFAULT_WORD_CAP) -> bool:
+def lg_valid_sequent(s: Sequent) -> bool:
     """Sequent validity over l-groups: product(left) <= right."""
     if len(s.right) != 1:
         raise ValueError("the l-group oracle takes single-conclusion sequents")
@@ -349,7 +326,7 @@ def lg_valid_sequent(s: Sequent, cap: int = DEFAULT_WORD_CAP) -> bool:
     t = product_term(s.left)
     if not isinstance(u, ConstE):
         t = Fuse(t, LDiv(u, ConstE()))
-    return lg_valid_leq_e(t, cap)
+    return lg_valid_leq_e(t)
 
 
 def clear_caches():

@@ -471,7 +471,9 @@ def _check_node(node: Proof, theory: Theory, allow_cut: bool, path: tuple[int, .
         if theory.oracle is None or cert.oracle != theory.oracle:
             raise CheckFailure(path, f"certificate oracle {cert.oracle!r} wrong for theory")
         if not oracle_valid(cert.oracle, cert.sequent):
-            raise CheckFailure(path, f"certificate failed re-validation: {print_sequent(cert.sequent)}")
+            raise CheckFailure(
+                path, f"certificate failed re-validation: {print_sequent(cert.sequent)}"
+            )
     for idx, premise in enumerate(node.premises):
         _check_node(premise, theory, allow_cut, path + (idx,))
 
@@ -1007,7 +1009,9 @@ def search_lgw_explicit(s: Sequent, theory: Theory) -> SearchOutcome:
     deletion) with plain identity/unit axioms; the generalized-axiom
     formulation is validated against this one."""
     if theory.multiple_conclusion or theory.oracle is None:
-        raise ValueError("explicit-weakening search applies to the oracle single-conclusion theories")
+        raise ValueError(
+            "explicit-weakening search applies to the oracle single-conclusion theories"
+        )
     return _run_search(s, theory, explicit=True)
 
 

@@ -142,11 +142,6 @@ class Theory(enum.Enum):
     def has_fuse(self) -> bool:
         return self not in (Theory.PSEUDO_BCI, Theory.BCI)
 
-    @property
-    def is_m_sequent(self) -> bool:
-        """Restricted to monoid/residual terms (no lattice connectives)."""
-        return self in (Theory.SIRM, Theory.PSEUDO_BCI, Theory.SIRCOM, Theory.BCI)
-
 
 def theory_from_name(name: str) -> Theory:
     try:
@@ -383,7 +378,9 @@ class _Parser:
                     raise ParseError(f"constant f not allowed in theory {self.theory.value}", at)
                 return F
             return Var(text)
-        raise ParseError(f"expected a term, found {text!r}" if text else "unexpected end of input", at)
+        raise ParseError(
+            f"expected a term, found {text!r}" if text else "unexpected end of input", at
+        )
 
 
 def _parse(text: str, theory: Theory, read):
@@ -591,7 +588,8 @@ def check_term_for_theory(t: Term, theory: Theory):
 def check_sequent_for_theory(s: Sequent, theory: Theory):
     if not theory.multiple_conclusion and len(s.right) != 1:
         raise ValueError(
-            f"theory {theory.value} requires single-conclusion sequents, got {len(s.right)} right terms"
+            f"theory {theory.value} requires single-conclusion sequents, "
+            f"got {len(s.right)} right terms"
         )
     for t in s.left + s.right:
         check_term_for_theory(t, theory)

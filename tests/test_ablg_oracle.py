@@ -109,7 +109,7 @@ def test_grid_agreement_one_directional():
     for _ in range(200):
         s = gen_sequent(rng, num_vars=3, depth=2, max_left=2)
         valid = ablg_valid_sequent(s)
-        val = find_integer_refutation(s, bound=3)
+        val = find_integer_refutation(s)
         if valid:
             assert val is None, f"oracle says valid but grid refutes: {s} at {val}"
         elif val is not None:

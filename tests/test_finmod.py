@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from icrl.finmod import (
     algebra_from_dict,
     algebra_to_dict,
     check_property,
+    countermodel_class,
     enumerate_algebras,
     eval_term,
     negative_cone,
@@ -114,6 +116,19 @@ def test_validate_powerset_algebra():
 
 def test_validate_z2_sirmonoid():
     assert validate(z2_sirmonoid()) == []
+
+
+def test_an_order_table_on_a_residual_signature_is_rejected_and_ignored():
+    # sirmonoids and pseudo BCI-algebras take their order from the residual
+    sirm = next(
+        a for a in enumerate_algebras(2, "sirmonoid") if all(a.le(x, a.e) for x in range(2))
+    )
+    forged = dataclasses.replace(sirm, leq=((True, True), (True, True)))
+    assert validate(forged) == ["sirmonoid signature must not carry an order table"]
+    pbci = dataclasses.replace(forged, fuse=None)
+    assert validate(pbci) == ["pbci signature must not carry an order table"]
+    for alg in (forged, pbci):
+        assert [alg.le(alg.e, x) for x in range(2)] == [x == alg.e for x in range(2)]
 
 
 def test_check_property_examples():
@@ -248,6 +263,13 @@ def test_refutation_agrees_with_prover():
         hit = refute(s, 3, "integral")
         if hit is not None:
             assert not search(s, Theory.ICRL).derivable, s
+
+
+def test_rl_countermodels_are_searched_among_all_residuated_lattices():
+    # x <= e holds in every integral algebra, but not in every residuated lattice
+    assert countermodel_class(Theory.RL) == ("rl", False)
+    assert refute(parse_sequent("x => e"), 3, *countermodel_class(Theory.RL)) is not None
+    assert refute(parse_sequent("x => e"), 3, *countermodel_class(Theory.IRL)) is None
 
 
 def test_sirmonoid_enumeration_cap():

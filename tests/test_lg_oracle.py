@@ -16,7 +16,7 @@ from icrl.lg_oracle import (
     semigroup_contains_identity,
     to_gnf,
 )
-from icrl.terms import E, Fuse, Join, LDiv, Meet, Var, parse_sequent, parse_term
+from icrl.terms import E, Fuse, Join, LDiv, Meet, Sequent, Var, parse_sequent, parse_term
 from tests_helpers_oracles import bfs_identity_oracle
 
 x, y = Var("x"), Var("y")
@@ -69,7 +69,7 @@ def test_bfs_identity_oracle_examples():
 def test_lg_valid_leq_e_examples():
     assert lg_valid_leq_e(Fuse(x, LDiv(x, E))) is True
     assert lg_valid_leq_e(x) is False
-    assert ablg_oracle.find_integer_refutation_leq_e(x) is not None
+    assert ablg_oracle.find_integer_refutation(Sequent((x,), (E,))) is not None
     assert lg_valid_leq_e(Meet(LDiv(x, E), x)) is True
 
 
@@ -145,7 +145,7 @@ def test_refutation_soundness_on_corpus():
         t = gen_term(rng, num_vars=3, depth=3)
         if lg_valid_leq_e(t):
             continue
-        val = ablg_oracle.find_integer_refutation_leq_e(t, bound=3)
+        val = ablg_oracle.find_integer_refutation(Sequent((t,), (E,)))
         if val is None:
             unexplained += 1  # abelian refutation is sufficient, not necessary
         else:
@@ -154,14 +154,18 @@ def test_refutation_soundness_on_corpus():
     assert found > 0
 
 
-def test_gnf_size_cap_is_a_hard_error():
+def test_gnf_size_cap_is_a_hard_error(monkeypatch):
     # (x0 \/ e) * ... * (x9 \/ e) distributes to 1024 joinands
     t = Join(Var("x0"), E)
     for i in range(1, 10):
         t = Fuse(t, Join(Var(f"x{i}"), E))
+    lg_oracle.clear_caches()
+    ablg_oracle.clear_caches()
+    monkeypatch.setattr(lg_oracle, "WORD_CAP", 50)
     with pytest.raises(GnfSizeError):
-        to_gnf(t, cap=50)
-    assert len(to_gnf(t, cap=2000).meetands_by_joinand) == 1024
+        to_gnf(t)
+    monkeypatch.setattr(lg_oracle, "WORD_CAP", 2000)
+    assert len(to_gnf(t).meetands_by_joinand) == 1024
 
 
 def test_pointed_input_rejected():
@@ -169,6 +173,14 @@ def test_pointed_input_rejected():
 
     with pytest.raises(ValueError):
         lg_valid_leq_e(parse_term("f \\ e", Theory.CA))
+
+
+def test_a_term_asked_directly_and_as_a_sequent_is_cached_once():
+    t = parse_term("x * (x \\ e)")
+    lg_oracle.clear_caches()
+    lg_valid_leq_e(t)
+    lg_valid_sequent(Sequent((t,), (E,)))
+    assert lg_valid_leq_e.cache_info().currsize == 1
 
 
 def test_clear_caches_empties_the_sequent_cache():

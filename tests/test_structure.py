@@ -1,5 +1,6 @@
 """Structural checks on the package source: no dead module-level names or
-class members, and every rule of every theory in exactly one rule family."""
+class members, no line over 100 columns, and every rule of every theory in
+exactly one rule family."""
 
 import ast
 from pathlib import Path
@@ -79,6 +80,16 @@ def test_every_method_and_property_is_used():
         )
     ]
     assert not dead
+
+
+def test_no_source_line_over_100_columns():
+    long = [
+        f"{path.name}:{number}"
+        for path in sorted(SRC.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert not long
 
 
 def test_every_rule_is_in_exactly_one_family():

@@ -110,16 +110,24 @@ def _factors(op):
     return product_term(op(Var(f"x{i}"), E) for i in range(10))
 
 
+@pytest.fixture
+def word_cap_50(monkeypatch):
+    # a cached answer would hide the cap, so both oracles start cold
+    lg_oracle.clear_caches()
+    ablg_oracle.clear_caches()
+    monkeypatch.setattr(lg_oracle, "WORD_CAP", 50)
+
+
 @pytest.mark.parametrize("oracle", [lg_oracle.lg_valid_leq_e, ablg_oracle.ablg_valid_leq_e])
-def test_z_refutable_terms_answer_without_reaching_the_word_cap(oracle):
+def test_z_refutable_terms_answer_without_reaching_the_word_cap(oracle, word_cap_50):
     # (x0 \/ e) * ... * (x9 \/ e) distributes to 2**10 words, over the cap
-    assert oracle(_factors(Join), 50) is False
+    assert oracle(_factors(Join)) is False
 
 
 @pytest.mark.parametrize("oracle", [lg_oracle.lg_valid_leq_e, ablg_oracle.ablg_valid_leq_e])
-def test_the_cap_is_still_an_error_when_the_answer_needs_the_normal_form(oracle):
+def test_the_cap_is_still_an_error_when_the_answer_needs_the_normal_form(oracle, word_cap_50):
     # (x0 /\ e) * ... * (x9 /\ e) <= e holds in Z, so only the normal form can answer
     t = _factors(Meet)
     assert not z_refutes(t)
     with pytest.raises(GnfSizeError):
-        oracle(t, 50)
+        oracle(t)

@@ -322,8 +322,12 @@ def _validate_pbci(a: FiniteAlgebra) -> list[str]:
         return v
     if a.ldiv is None or a.rdiv is None:
         return ["missing table ldiv or rdiv"]
+    if a.join is not None:  # a meet or fuse table makes the signature rl or sirmonoid
+        v.append("pbci signature must not carry lattice tables")
     if a.leq is not None:
-        return ["pbci signature must not carry an order table"]
+        v.append("pbci signature must not carry an order table")
+    if v:
+        return v
     v.extend(_order_checks(a))
     v.extend(_sirmonoid_axioms(a, with_fuse=False))
     return v

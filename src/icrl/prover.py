@@ -1,9 +1,11 @@
 """Backward cut-free proof search, proof checking, and proof serialization.
 
 Search is exhaustive backtracking over the backward-readable rule instances,
-memoized per goal with failure caching; termination needs no loop check
-because every premise of every rule has strictly smaller total complexity
-(weakening steps must delete a non-empty block).
+memoized per goal with failure caching for the length of one search call;
+termination needs no loop check because every premise of every rule has
+strictly smaller total complexity (weakening steps must delete a non-empty
+block).  A goal that one of 64 fixed integer valuations refutes fails at
+once, before any rule is tried.
 
 Two formulations of the oracle-weakening rule are implemented:
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import ablg_oracle, lg_oracle
@@ -40,6 +43,7 @@ from .terms import (
     Sequent,
     Term,
     Theory,
+    Var,
     check_sequent_for_theory,
     normalize_for_theory,
     parse_sequent,
@@ -518,17 +522,19 @@ class _Step:
 class _Ctx:
     theory: Theory
     explicit: bool
-    memo: dict
+    memo: dict = field(default_factory=dict)  # goal -> _Step, or None for a failed goal
     nodes: int = 0
     max_depth: int = 0
     rules: frozenset = field(init=False)
     multiset: bool = field(init=False)
+    cone: bool = field(init=False)  # goals are refuted in the negative cone, not in Z
     alts: Callable = field(init=False)  # the theory's alternative generator
 
     def __post_init__(self):
         th = self.theory
         self.rules = allowed_rules(th)
         self.multiset = th.commutative
+        self.cone = th is Theory.IRL
         if th.multiple_conclusion:
             self.alts = _alts_ca
         elif th.commutative:
@@ -541,13 +547,6 @@ class _Ctx:
 
     def oracle_seq(self, left: tuple[Term, ...], right: tuple[Term, ...]) -> bool:
         return oracle_valid(self.theory.oracle, Sequent(left, right))
-
-
-_MEMO: dict[tuple[Theory, bool], dict] = {}
-
-
-def clear_caches():
-    _MEMO.clear()
 
 
 def _sort_ms(terms) -> tuple[Term, ...]:
@@ -821,10 +820,79 @@ def _alts_ca(goal, ctx: _Ctx):
                     ]
 
 
+# --- semantic pruning ---------------------------------------------------------------
+
+# Every theory searched here but irl is sound for the integers with f = e = 0:
+# Z is an l-group, so integrally closed, and a commutative model of ca.  irl is
+# sound for the negative cone of Z, with x \ y = y / x = min(0, y - x).  So a
+# goal that a valuation of lg_oracle's bank makes false there is not derivable, and
+# since search stops at its first success, failing it at once removes only a
+# failing subtree: the proof found is the same.
+
+
+@lru_cache(maxsize=65536)
+def _lanes(t: Term, cone: bool) -> tuple[int, int] | None:
+    """t's value under each valuation of the bank, packed as in `lg_oracle`,
+    in Z or in its negative cone, with a bound on the absolute value; None
+    when a lane could leave its field."""
+    cls = type(t)
+    if cls is Var:
+        lanes = lg_oracle._var_lanes(t.name)
+        if cone:  # the bank's value v becomes -|v|
+            neg = 2 * lg_oracle._BIASES - lanes
+            lanes ^= (lanes ^ neg) & lg_oracle._ge_mask(lanes, neg)
+        return lanes, lg_oracle._BANK_RANGE
+    if cls is ConstE or cls is ConstF:
+        return lg_oracle._BIASES, 0
+    left, right = _lanes(t.l, cone), _lanes(t.r, cone)
+    if left is None or right is None:
+        return None
+    (a, bound_a), (b, bound_b) = left, right
+    if cls is Meet or cls is Join:
+        pick = (a ^ b) & lg_oracle._ge_mask(a, b)
+        return (a ^ pick if cls is Meet else b ^ pick), max(bound_a, bound_b)
+    bound = bound_a + bound_b
+    if bound > lg_oracle._LIMIT:
+        return None
+    if cls is Fuse:
+        return a + b - lg_oracle._BIASES, bound
+    lanes = (b - a if cls is LDiv else a - b) + lg_oracle._BIASES
+    if cone:  # min(0, lanes)
+        lanes ^= (lanes ^ lg_oracle._BIASES) & lg_oracle._ge_mask(lanes, lg_oracle._BIASES)
+    return lanes, bound
+
+
+def _refuted(goal, cone: bool) -> bool:
+    """True if a valuation of the bank makes the goal L => R false: the sum
+    of L's values exceeds that of R's (an empty side sums to e = f = 0).
+    False proves nothing; it is also the answer when the total could leave
+    the lane field."""
+    L, R = goal
+    total = lg_oracle._BIASES * (1 + len(R) - len(L))
+    bound = 0
+    for sign, side in ((1, L), (-1, R)):
+        for t in side:
+            hit = _lanes(t, cone)
+            if hit is None:
+                return False
+            total += sign * hit[0]
+            bound += hit[1]
+    if bound > lg_oracle._LIMIT:
+        return False
+    return lg_oracle._ge_mask(total, lg_oracle._POSITIVE) != 0
+
+
+def clear_caches():
+    _lanes.cache_clear()
+
+
 def _prove(goal, ctx: _Ctx, depth: int):
     memo = ctx.memo
     if goal in memo:
         return memo[goal]
+    if _refuted(goal, ctx.cone):
+        memo[goal] = None
+        return None
     ctx.nodes += 1
     ctx.max_depth = max(ctx.max_depth, depth)
     for rule, data, premise_goals in ctx.alts(goal, ctx):
@@ -981,8 +1049,7 @@ def _run_search(s: Sequent, theory: Theory, explicit: bool) -> SearchOutcome:
         tuple(normalize_for_theory(t, theory) for t in s.left),
         tuple(normalize_for_theory(t, theory) for t in s.right),
     )
-    memo = _MEMO.setdefault((theory, explicit), {})
-    ctx = _Ctx(theory, explicit, memo)
+    ctx = _Ctx(theory, explicit)
     if theory.multiple_conclusion:
         goal = (_sort_ms(s.left), _sort_ms(s.right))
     elif theory.commutative:

@@ -131,6 +131,18 @@ def test_an_order_table_on_a_residual_signature_is_rejected_and_ignored():
         assert [alg.le(alg.e, x) for x in range(2)] == [x == alg.e for x in range(2)]
 
 
+def test_a_join_table_on_the_pbci_signature_is_rejected():
+    sirm = enumerate_algebras(2, "sirmonoid")[0]
+    forged = dataclasses.replace(sirm, fuse=None, join=((0, 0), (0, 0)))
+    assert forged.signature == "pbci"
+    assert validate(forged) == ["pbci signature must not carry lattice tables"]
+    both = dataclasses.replace(forged, leq=((True, True), (True, True)))
+    assert validate(both) == [
+        "pbci signature must not carry lattice tables",
+        "pbci signature must not carry an order table",
+    ]
+
+
 def test_check_property_examples():
     chain = two_chain()
     assert check_property(chain, "integrally_closed") is True

@@ -2,7 +2,7 @@
 
 The fixture holds, for each case, the proof JSON that search emits (or null
 when the sequent is not derivable) and the search's `nodes_expanded` and
-`max_depth` from an empty memo, for both weakening formulations where the
+`max_depth` from one search call, for both weakening formulations where the
 theory has an oracle.  Refactors of search, emission or the oracles must keep
 these bytes.  Regenerate the fixture only for an intended change of output:
 
@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from icrl.corpus import gen_sequent
-from icrl.prover import clear_caches, proof_to_json, search, search_lgw_explicit
+from icrl.prover import proof_to_json, search, search_lgw_explicit
 from icrl.terms import Theory, parse_sequent, print_sequent
 
 FIXTURE = Path(__file__).with_name("golden_proofs.json")
@@ -55,7 +55,6 @@ def _cases():
 
 def _case(th: Theory, formulation: str, text: str) -> dict:
     find = search if formulation == "generalized-axioms" else search_lgw_explicit
-    clear_caches()
     out = find(parse_sequent(text, th), th)
     return {
         "theory": th.value,

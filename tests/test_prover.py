@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from icrl import prover
 from icrl.corpus import gen_sequent, gen_term
 from icrl.prover import (
     CUT,
@@ -212,12 +211,18 @@ def test_proof_json_round_trip_bit_exact():
 
 
 def test_outcome_statistics_present():
-    prover.clear_caches()  # goal memoization is shared across calls
     out = search(seq("x \\ x => e"), Theory.RL)
     assert not out.derivable
     assert out.proof is None
     assert out.nodes_expanded >= 1
     assert out.max_depth >= 0
+
+
+def test_statistics_do_not_depend_on_earlier_searches():
+    # the goal memo lives for one search call
+    first, second = (search(seq("x => x"), Theory.ICRL) for _ in range(2))
+    assert first.nodes_expanded == second.nodes_expanded == 1
+    assert first.proof == second.proof
 
 
 def test_m_sequent_shape_enforced():

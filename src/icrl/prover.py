@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
 from . import ablg_oracle, lg_oracle
@@ -44,9 +45,9 @@ from .terms import (
     Term,
     Theory,
     Var,
+    _parse_sequent,
     check_sequent_for_theory,
     normalize_for_theory,
-    parse_sequent,
     print_sequent,
     print_term,
 )
@@ -241,25 +242,42 @@ def oracle_valid(oracle: str, s: Sequent) -> bool:
 # --- proof JSON ----------------------------------------------------------------
 
 
-def proof_to_dict(p: Proof) -> dict:
-    d: dict = {
-        "conclusion": print_sequent(p.conclusion),
-        "rule": p.rule,
-        "premises": [proof_to_dict(q) for q in p.premises],
-    }
-    if p.certificates:
-        d["certificate"] = {
-            "oracle": p.certificates[0].oracle,
-            "sequents": [print_sequent(c.sequent) for c in p.certificates],
-        }
-    return d
+# A proof is the text json.dumps(..., indent=2, sort_keys=True) makes of
+# {"certificate": {"oracle", "sequents"}, "conclusion", "premises", "rule"},
+# with the certificate only where there is one.  It is written directly, since
+# the indenting encoder is pure Python.
 
 
 def proof_to_json(p: Proof) -> str:
-    return json.dumps(proof_to_dict(p), indent=2, sort_keys=True) + "\n"
+    out: list[str] = []
+    _write_proof(p, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _write_proof(p: Proof, nl: str, out: list[str]):
+    """Append p to out as an object whose closing brace follows nl."""
+    inner, item = nl + "  ", nl + "    "
+    out.append("{")
+    if p.certificates:
+        sequents = f",{item}  ".join(_quote(print_sequent(c.sequent)) for c in p.certificates)
+        out.append(
+            f'{inner}"certificate": {{{item}"oracle": {_quote(p.certificates[0].oracle)},'
+            f'{item}"sequents": [{item}  {sequents}{item}]{inner}}},'
+        )
+    out.append(f'{inner}"conclusion": {_quote(print_sequent(p.conclusion))},{inner}"premises": [')
+    for k, q in enumerate(p.premises):
+        out.append("," + item if k else item)
+        _write_proof(q, item, out)
+    out.append(f'{inner if p.premises else ""}],{inner}"rule": {_quote(p.rule)}{nl}}}')
 
 
 def proof_from_dict(d: dict, theory: Theory) -> Proof:
+    return _proof_from_dict(d, theory, {})
+
+
+def _proof_from_dict(d: dict, theory: Theory, memo: dict) -> Proof:
+    """proof_from_dict, parsing each distinct formula of the proof once: memo
+    maps a formula's tokens to its term."""
     if not isinstance(d, dict):
         raise ValueError("malformed proof node: expected an object")
     try:
@@ -267,19 +285,21 @@ def proof_from_dict(d: dict, theory: Theory) -> Proof:
         rule = d["rule"]
     except KeyError as missing:
         raise ValueError(f"malformed proof node: missing key {missing}") from None
+    premises = d.get("premises", [])
+    if not (isinstance(conclusion, str) and isinstance(rule, str) and isinstance(premises, list)):
+        raise ValueError("malformed proof node: expected string conclusion and rule, premise list")
     certs = ()
     if "certificate" in d:
-        c = d["certificate"]
-        try:
-            certs = tuple(
-                Certificate(c["oracle"], parse_sequent(s, theory)) for s in c["sequents"]
-            )
-        except (KeyError, TypeError):
-            raise ValueError("malformed certificate: expected {oracle, sequents}") from None
+        c = d["certificate"] if isinstance(d["certificate"], dict) else {}
+        sequents = c.get("sequents")
+        typed = isinstance(sequents, list) and all(isinstance(s, str) for s in sequents)
+        if not (typed and isinstance(c.get("oracle"), str)):
+            raise ValueError("malformed certificate: expected an oracle name and sequent strings")
+        certs = tuple(Certificate(c["oracle"], _parse_sequent(s, theory, memo)) for s in sequents)
     return Proof(
-        conclusion=parse_sequent(conclusion, theory),
+        conclusion=_parse_sequent(conclusion, theory, memo),
         rule=rule,
-        premises=tuple(proof_from_dict(q, theory) for q in d.get("premises", ())),
+        premises=tuple(_proof_from_dict(q, theory, memo) for q in premises),
         certificates=certs,
     )
 

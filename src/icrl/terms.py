@@ -22,6 +22,7 @@ multiple-conclusion mode; either side may be empty there.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -177,59 +178,63 @@ class ParseError(ValueError):
 
 # --- lexer ----------------------------------------------------------------
 
-_TWO_CHAR = {"/\\": "MEET", "\\/": "JOIN", "->": "ARROW", "=>": "SEQ", "<=": "LEQ"}
-_ONE_CHAR = {
-    "*": "FUSE",
-    "\\": "LDIV",
-    "/": "RDIV",
-    "~": "TILDE",
-    "-": "NEG",
-    "+": "PLUS",
-    "(": "LPAR",
-    ")": "RPAR",
-    ",": "COMMA",
-}
+# A token after any whitespace: two-character operators before one-character
+# ones, then identifiers (a letter or '_', then letters, digits, '_' and "'").
+# The first class also admits digits that are not decimal, such as '²'.
+_TOKEN = re.compile(r"\s*(/\\|\\/|->|=>|<=|[-*\\/~+(),]|[^\W\d][\w']*)")
 
 
-def _lex(text: str) -> list[tuple[str, str, int]]:
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR:
-            toks.append((_TWO_CHAR[two], two, i))
-            i += 2
-            continue
-        if c in _ONE_CHAR:
-            toks.append((_ONE_CHAR[c], c, i))
-            i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            toks.append(("IDENT", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(("EOF", "", n))
+def _lex(text: str) -> list[str]:
+    """The tokens of text, then "" for its end.  Raises the ParseError for a
+    character that starts no token, before any parsing."""
+    toks = _TOKEN.findall(text)
+    # findall skips what starts no token, so then the tokens miss a character
+    if not text.isascii() or len("".join(toks)) != len("".join(text.split())):
+        _positions(text)
+    toks.append("")
     return toks
+
+
+def _positions(text: str) -> list[int]:
+    """Where each token of text starts, then its end; raises the ParseError for
+    the first character that starts no token.  Used only to report an error."""
+    spans = [m.span(1) for m in _TOKEN.finditer(text)] + [(len(text), len(text))]
+    end = 0
+    for start, stop in spans:
+        skipped = text[end:start].lstrip()
+        c = skipped[:1] or text[start : start + 1]
+        if skipped or (c.isalnum() and not c.isalpha()):
+            raise ParseError(f"unexpected character {c!r}", start - len(skipped))
+        end = stop
+    return [start for start, _ in spans]
 
 
 # --- parser ---------------------------------------------------------------
 
 # The deepest term, and the deepest parenthesis nesting, that the parser
 # accepts (a variable has depth 1).  Printing can put each level of a term in
-# parentheses, and the recursive-descent parser spends about nine stack frames
-# per parenthesis, so every accepted term is printed, read back, searched and
+# parentheses, and the parser spends at most four stack frames per
+# parenthesis, so every accepted term is printed, read back, searched and
 # checked well inside the interpreter's stack.
 MAX_TERM_DEPTH = 64
 _TOO_DEEP = f"term nested too deeply (more than {MAX_TERM_DEPTH} levels)"
+
+# Binary operators: binding level, loosest first, and constructor.  The levels
+# of \ and / and of -> do not associate.  a + b is -a -> b, that is (a \ f) \ b.
+_BINARY = {
+    "+": (0, LDiv),
+    "\\/": (1, Join),
+    "/\\": (2, Meet),
+    "->": (3, LDiv),
+    "\\": (4, LDiv),
+    "/": (4, RDiv),
+    "*": (5, Fuse),
+}
+_NON_ASSOCIATIVE = {
+    3: "'->' is non-associative; parenthesize chained arrows",
+    4: "residuals are non-associative; parenthesize chained \\ or /",
+}
+_EXPECTED = {"": "EOF", ")": "RPAR", "=>": "SEQ", "<=": "LEQ"}
 
 
 def _depth_over(t: Term, limit: int) -> bool:
@@ -247,140 +252,97 @@ def _depth_over(t: Term, limit: int) -> bool:
 
 class _Parser:
     def __init__(self, text: str, theory: Theory):
+        self.text = text
         self.toks = _lex(text)
-        self.pos = 0
+        self.i = 0  # the next token
         self.theory = theory
         self.parens = 0  # open parentheses around the current position
 
-    def peek(self):
-        return self.toks[self.pos]
+    def error(self, message: str, at: int) -> ParseError:
+        """The ParseError at token number `at`."""
+        return ParseError(message, _positions(self.text)[at])
 
-    def next(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def fail(self, message: str):
-        raise ParseError(message, self.peek()[2])
-
-    def require_lattice(self):
-        if not self.theory.has_lattice_ops:
-            self.fail(f"lattice connective not in the signature of theory {self.theory.value}")
-
-    # one method per precedence level, loosest first
-
-    def term(self) -> Term:
-        return self.plus()
+    def expect(self, tok: str):
+        if self.toks[self.i] != tok:
+            raise self.error(f"expected {_EXPECTED[tok]}, found {self.toks[self.i]!r}", self.i)
+        self.i += 1
 
     def formula(self) -> Term:
         """A whole term of the input, no deeper than MAX_TERM_DEPTH."""
-        start = self.pos
-        t = self.term()
-        # a token adds at most two levels ('+' adds two): short terms pass
-        if 2 * (self.pos - start) >= MAX_TERM_DEPTH and _depth_over(t, MAX_TERM_DEPTH):
-            raise ParseError(_TOO_DEEP, self.toks[start][2])
+        start = self.i
+        t = self.binary(0)
+        # depth <= connectives + 1 <= tokens other than brackets, as each operator
+        # builds one connective (a '+' two) and brings an operand of its own
+        n = self.i - start
+        if n > MAX_TERM_DEPTH and n - 2 * self.toks[start : self.i].count("(") > MAX_TERM_DEPTH:
+            if _depth_over(t, MAX_TERM_DEPTH):
+                raise self.error(_TOO_DEEP, start)
         return t
 
-    def plus(self) -> Term:
-        t = self.join()
-        while self.peek()[0] == "PLUS":
-            at = self.next()[2]
-            if not (self.theory.pointed and self.theory.commutative):
-                raise ParseError(f"'+' not available in theory {self.theory.value}", at)
-            # a + b  :=  -a -> b  =  (a \ f) \ b
-            t = LDiv(LDiv(t, F), self.join())
+    def binary(self, floor: int) -> Term:
+        """A term whose operators outside parentheses bind at level `floor` or
+        tighter, read by precedence climbing."""
+        toks, th = self.toks, self.theory
+        t = self.unary() if toks[self.i] in ("~", "-") else self.atom()
+        while (op := toks[self.i]) in _BINARY:
+            level, build = _BINARY[op]
+            if level < floor:
+                break
+            at = self.i
+            self.i += 1
+            if op == "*" and not th.has_fuse:
+                raise self.error(f"'*' not in the signature of theory {th.value}", at)
+            if level in (1, 2) and not th.has_lattice_ops:
+                lattice = f"lattice connective not in the signature of theory {th.value}"
+                raise self.error(lattice, at + 1)  # at the token after the operator
+            if op == "->" and not th.commutative:
+                arrow = f"'->' is only available in commutative theories, not {th.value}"
+                raise self.error(arrow, at)
+            if op == "+":
+                if not (th.pointed and th.commutative):
+                    raise self.error(f"'+' not available in theory {th.value}", at)
+                t = LDiv(t, F)
+            t = build(t, self.binary(level + 1))
+            if level in _NON_ASSOCIATIVE and _BINARY.get(toks[self.i], (None,))[0] == level:
+                raise self.error(_NON_ASSOCIATIVE[level], self.i)
         return t
 
-    def join(self) -> Term:
-        t = self.meet()
-        while self.peek()[0] == "JOIN":
-            self.next()
-            self.require_lattice()
-            t = Join(t, self.meet())
-        return t
-
-    def meet(self) -> Term:
-        t = self.arrow()
-        while self.peek()[0] == "MEET":
-            self.next()
-            self.require_lattice()
-            t = Meet(t, self.arrow())
-        return t
-
-    def arrow(self) -> Term:
-        t = self.resid()
-        if self.peek()[0] == "ARROW":
-            at = self.next()[2]
-            if not self.theory.commutative:
-                raise ParseError(
-                    f"'->' is only available in commutative theories, not {self.theory.value}", at
-                )
-            t = LDiv(t, self.resid())
-            if self.peek()[0] == "ARROW":
-                self.fail("'->' is non-associative; parenthesize chained arrows")
-        return t
-
-    def resid(self) -> Term:
-        t = self.fuse()
-        kind = self.peek()[0]
-        if kind in ("LDIV", "RDIV"):
-            self.next()
-            rhs = self.fuse()
-            t = LDiv(t, rhs) if kind == "LDIV" else RDiv(t, rhs)
-            if self.peek()[0] in ("LDIV", "RDIV"):
-                self.fail("residuals are non-associative; parenthesize chained \\ or /")
-        return t
-
-    def fuse(self) -> Term:
-        t = self.prefix()
-        while self.peek()[0] == "FUSE":
-            at = self.next()[2]
-            if not self.theory.has_fuse:
-                raise ParseError(f"'*' not in the signature of theory {self.theory.value}", at)
-            t = Fuse(t, self.prefix())
-        return t
-
-    def prefix(self) -> Term:
-        if self.peek()[0] not in ("TILDE", "NEG"):
-            return self.atom()
-        units = []  # read in a loop: chains of ~ and - do not recurse
-        while self.peek()[0] in ("TILDE", "NEG"):
-            kind, _, at = self.next()
-            if kind == "NEG" and not self.theory.pointed:
-                raise ParseError(f"'-' requires the pointed signature (theory ca)", at)
-            units.append(E if kind == "TILDE" else F)
+    def unary(self) -> Term:
+        """An atom under its prefix operators, read in a loop: chains of ~ and -
+        do not recurse."""
+        start = self.i
+        while self.toks[self.i] in ("~", "-"):
+            if self.toks[self.i] == "-" and not self.theory.pointed:
+                raise self.error("'-' requires the pointed signature (theory ca)", self.i)
+            self.i += 1
+        prefixes = self.toks[start : self.i]
         t = self.atom()
-        for unit in reversed(units):
-            t = LDiv(t, unit)
+        for tok in reversed(prefixes):
+            t = LDiv(t, E if tok == "~" else F)
         return t
 
     def atom(self) -> Term:
-        kind, text, at = self.next()
-        if kind == "LPAR":
+        at = self.i
+        tok = self.toks[at]
+        self.i += 1
+        if tok == "(":
             self.parens += 1
             if self.parens > MAX_TERM_DEPTH:
-                raise ParseError(_TOO_DEEP, at)
-            t = self.term()
-            self.expect("RPAR")
+                raise self.error(_TOO_DEEP, at)
+            t = self.binary(0)
+            self.expect(")")
             self.parens -= 1
             return t
-        if kind == "IDENT":
-            if text == "e":
-                return E
-            if text == "f":
-                if not self.theory.pointed:
-                    raise ParseError(f"constant f not allowed in theory {self.theory.value}", at)
-                return F
-            return Var(text)
-        raise ParseError(
-            f"expected a term, found {text!r}" if text else "unexpected end of input", at
-        )
+        if tok == "e":
+            return E
+        if tok == "f":
+            if not self.theory.pointed:
+                raise self.error(f"constant f not allowed in theory {self.theory.value}", at)
+            return F
+        if tok[:1].isalpha() or tok[:1] == "_":
+            return Var(tok)
+        missing = f"expected a term, found {tok!r}" if tok else "unexpected end of input"
+        raise self.error(missing, at)
 
 
 def _parse(text: str, theory: Theory, read):
@@ -391,8 +353,8 @@ def _parse(text: str, theory: Theory, read):
     try:
         out = read(p)
     except RecursionError:
-        raise ParseError("term nested too deeply", p.peek()[2]) from None
-    p.expect("EOF")
+        raise p.error("term nested too deeply", p.i) from None
+    p.expect("")
     return out
 
 
@@ -403,20 +365,40 @@ def parse_term(text: str, theory: Theory = Theory.ICRL) -> Term:
 
 def parse_sequent(text: str, theory: Theory = Theory.ICRL) -> Sequent:
     """Parse 't1, ..., tn => u' (or a comma-separated right side in ca mode)."""
+    return _parse_sequent(text, theory, None)
 
-    def side(p: _Parser) -> list[Term]:
-        terms = []
-        if p.peek()[0] in ("SEQ", "EOF"):
-            return terms
-        terms.append(p.formula())
-        while p.peek()[0] == "COMMA":
-            p.next()
-            terms.append(p.formula())
-        return terms
+
+def _parse_sequent(text: str, theory: Theory, memo: dict | None) -> Sequent:
+    """parse_sequent, taking each formula from `memo` (tokens -> term, for one
+    theory) when it is there and adding it when it is not."""
+
+    def formula(p: _Parser) -> Term:
+        if memo is None:
+            return normalize_for_theory(p.formula(), theory)
+        end = p.i
+        while p.toks[end] not in (",", "=>", ""):
+            end += 1
+        key = tuple(p.toks[p.i : end])
+        if key not in memo:
+            t = normalize_for_theory(p.formula(), theory)
+            if p.i != end:  # the term is not all of those tokens
+                return t
+            memo[key] = t
+        p.i = end
+        return memo[key]
+
+    def side(p: _Parser) -> tuple[Term, ...]:
+        if p.toks[p.i] in ("=>", ""):
+            return ()
+        terms = [formula(p)]
+        while p.toks[p.i] == ",":
+            p.i += 1
+            terms.append(formula(p))
+        return tuple(terms)
 
     def sequent(p: _Parser):
         left = side(p)
-        p.expect("SEQ")
+        p.expect("=>")
         return left, side(p)
 
     left, right = _parse(text, theory, sequent)
@@ -424,10 +406,7 @@ def parse_sequent(text: str, theory: Theory = Theory.ICRL) -> Sequent:
         raise ParseError(
             f"theory {theory.value} requires exactly one term on the right, found {len(right)}", 0
         )
-    return Sequent(
-        tuple(normalize_for_theory(t, theory) for t in left),
-        tuple(normalize_for_theory(t, theory) for t in right),
-    )
+    return Sequent(left, right)
 
 
 def parse_leq(text: str, theory: Theory = Theory.ICRL) -> tuple[Term, Term]:
@@ -435,7 +414,7 @@ def parse_leq(text: str, theory: Theory = Theory.ICRL) -> tuple[Term, Term]:
 
     def leq(p: _Parser):
         s = p.formula()
-        p.expect("LEQ")
+        p.expect("<=")
         return s, p.formula()
 
     s, t = _parse(text, theory, leq)

@@ -1,0 +1,91 @@
+"""Proof JSON: the pinned proofs survive a load and a dump byte for byte, a
+load parses every formula as `parse_sequent` does, and wrongly typed fields
+are clean errors."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from icrl.cli import run
+from icrl.prover import Proof, proof_from_dict, proof_from_json, proof_to_json
+from icrl.terms import Theory, parse_sequent
+
+HERE = Path(__file__).parent
+
+
+def _golden_proofs():
+    for case in json.loads((HERE / "golden_proofs.json").read_text(encoding="utf-8")):
+        if case["proof"] is not None:
+            yield Theory(case["theory"]), case["proof"]
+
+
+def _same_nodes(p: Proof, d: dict, th: Theory):
+    """p was loaded from d: each node holds what parse_sequent makes of its text."""
+    assert p.conclusion == parse_sequent(d["conclusion"], th), d["conclusion"]
+    certs = d.get("certificate", {"sequents": []})["sequents"]
+    assert [c.sequent for c in p.certificates] == [parse_sequent(s, th) for s in certs]
+    assert len(p.premises) == len(d["premises"])
+    for q, e in zip(p.premises, d["premises"]):
+        _same_nodes(q, e, th)
+
+
+def test_golden_proofs_load_and_dump_byte_identically():
+    blobs = list(_golden_proofs())
+    assert {th for th, _ in blobs} == set(Theory)
+    for th, blob in blobs:
+        assert proof_to_json(proof_from_json(blob, th)) == blob
+
+
+def test_loading_parses_each_formula_as_parse_sequent_does():
+    certified = 0
+    for th, blob in _golden_proofs():
+        p = proof_from_json(blob, th)
+        _same_nodes(p, json.loads(blob), th)
+        certified += any(q.certificates for q in p.walk())
+    assert certified  # certificate sequents are compared too
+
+
+def test_golden_cut_proofs_load_and_dump_to_the_same_dicts():
+    cases = json.loads((HERE / "golden_cutelim.json").read_text(encoding="utf-8"))
+    for case in cases:
+        th = Theory(case["theory"])
+        for d in (case["cut_proof"], case["cut_free"]):
+            assert json.loads(proof_to_json(proof_from_dict(d, th))) == d
+
+
+def test_non_ascii_names_are_written_as_json_dumps_writes_them():
+    node = {
+        "certificate": {"oracle": "lg", "sequents": ["é, x' => é", "ß_1 => ß_1"]},
+        "conclusion": "é, x' => é",
+        "premises": [{"conclusion": "é => é", "premises": [], "rule": "id"}],
+        "rule": "lg-w",
+    }
+    p = proof_from_dict(node, Theory.ICRL)
+    assert proof_to_json(p) == json.dumps(node, indent=2, sort_keys=True) + "\n"
+
+
+_X = {"conclusion": "x => x", "rule": "id"}
+
+
+@pytest.mark.parametrize(
+    "node, message",
+    [
+        ({"conclusion": 5, "rule": "id"}, "malformed proof node"),
+        ({"conclusion": "x => x", "rule": ["id"]}, "malformed proof node"),
+        ({**_X, "premises": 5}, "malformed proof node"),
+        ({**_X, "rule": "w", "premises": [{"conclusion": ["x => x"], "rule": "id"}]},
+         "malformed proof node"),
+        ({**_X, "certificate": {"oracle": 1, "sequents": ["x => x"]}}, "malformed certificate"),
+        ({**_X, "certificate": {"oracle": "lg", "sequents": "x => x"}}, "malformed certificate"),
+        ({**_X, "certificate": {"oracle": "lg", "sequents": [5]}}, "malformed certificate"),
+        ({**_X, "certificate": ["lg", ["x => x"]]}, "malformed certificate"),
+    ],
+)
+def test_wrongly_typed_fields_are_clean_errors(node, message, tmp_path, capsys):
+    with pytest.raises(ValueError, match=message):
+        proof_from_dict(node, Theory.ICRL)
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps(node))
+    assert run(["check", "--theory", "icrl", str(path)]) == 2
+    assert message in capsys.readouterr().err

@@ -8,16 +8,16 @@ exactly when the identity lies in the subsemigroup its words generate.
 
 That criterion is imported from the ordered-group literature and quarantined
 behind this module: `semigroup_contains_identity` decides membership of the
-identity in a finitely generated subsemigroup of a free group by
-rational-subset automaton saturation, and is differentially tested against a
-brute-force closure.
+identity in a finitely generated subsemigroup of a free group by worklist
+saturation of a rational-subset automaton (cubic in the words' total length,
+stopped at the first identity path), tested against a brute-force closure.
 
 Every entry point takes only its query; the one resource limit is WORD_CAP,
 past which distribution raises GnfSizeError rather than truncating.
 
 Before any normal form, `z_refutes` evaluates the term in the l-group of
-integers under a fixed bank of valuations; Z is an abelian l-group, so a
-positive value refutes t <= e for this oracle and the abelian one alike.
+integers under a fixed bank of valuations, once per term (cached); Z is an
+abelian l-group, so a positive value refutes t <= e for both oracles.
 """
 
 from __future__ import annotations
@@ -161,51 +161,51 @@ def semigroup_contains_identity(gens: frozenset[GroupWord]) -> bool:
     Decided on a finite automaton over signed letters with epsilon edges that
     accepts every non-empty concatenation of the generators: each generator
     is a path of letter edges from state 0 to state 1, and an epsilon edge
-    leads from 1 back to 0 for further generators.  Saturation adds an
-    epsilon edge p -> q whenever p -a-> r =eps=> s -a^-1-> q; afterwards the
-    automaton accepts the empty word exactly when some non-empty product of
-    generators freely reduces to the identity.
+    leads from 1 back to 0.  Saturation adds p =eps=> q whenever
+    p -a-> x =eps*=> y -a^-1-> q, and the identity is such a product exactly
+    when saturation reaches 0 =eps*=> 1.  A worklist pops each pair of eps*
+    once, closes it under transitivity, fires the rule through per-state
+    edge indexes and returns as soon as 0 =eps*=> 1: for n states, at most
+    n^2 pops of O(n) set work each.
     """
     if not gens:
         raise ValueError("generator set must be non-empty")
     if () in gens:
         return True
-    targets: dict[tuple[int, Letter], set[int]] = {}  # (state, letter) -> targets
-    inverse_edges = []  # (p, a^-1, r) for every letter edge p -a-> r
-    num_states = 2
+    out: list[dict[Letter, list[int]]] = [{}, {}]  # state -> letter -> targets
+    into: list[list[tuple[int, Letter]]] = [[], []]  # x -> (p, a^-1) per edge p -a-> x
     for word in sorted(gens):
-        prev = 0
-        for i, (v, sign) in enumerate(word):
-            if i == len(word) - 1:
-                dst = 1
-            else:
-                dst, num_states = num_states, num_states + 1
-            targets.setdefault((prev, (v, sign)), set()).add(dst)
-            inverse_edges.append((prev, (v, -sign), dst))
-            prev = dst
-    eps: dict[int, set[int]] = {1: {0}}
-    changed = True
-    while changed:
-        changed = False
-        closure = []
-        for s in range(num_states):
-            reach = {s}
-            stack = [s]
-            while stack:
-                for r in eps.get(stack.pop(), ()):
-                    if r not in reach:
-                        reach.add(r)
-                        stack.append(r)
-            closure.append(reach)
-        for p, inv, r in inverse_edges:
-            for s in closure[r]:
-                for q in targets.get((s, inv), ()):
-                    dsts = eps.setdefault(p, set())
-                    if q not in dsts:
-                        dsts.add(q)
-                        changed = True
-    # the last round added nothing, so its closure is the saturated one
-    return 1 in closure[0]
+        path = [0, *range(len(out), len(out) + len(word) - 1), 1]
+        out += [{} for _ in word[1:]]
+        into += [[] for _ in word[1:]]
+        for p, (v, sign), q in zip(path, word, path[1:]):
+            out[p].setdefault((v, sign), []).append(q)
+            into[q].append((p, (v, -sign)))
+    reach: list[set[int]] = [set() for _ in out]  # reach[x]: every y with x =eps*=> y
+    back: list[set[int]] = [set() for _ in out]  # back[y]: every x with x =eps*=> y
+    work: list[tuple[int, int]] = []
+
+    def add(x, y):
+        reach[x].add(y)
+        back[y].add(x)
+        work.append((x, y))
+
+    for s in range(len(out)):
+        add(s, s)
+    add(1, 0)
+    while work:
+        x, y = work.pop()
+        for z in reach[y] - reach[x]:
+            add(x, z)
+        for w in back[x] - back[y]:
+            add(w, y)
+        for p, inv in into[x]:
+            for q in out[y].get(inv, ()):
+                if q not in reach[p]:
+                    add(p, q)
+        if 1 in reach[0]:
+            return True
+    return False
 
 
 # --- refutation in Z ------------------------------------------------------------
@@ -253,6 +253,7 @@ def _ge_mask(a: int, b: int) -> int:
     return ge - (ge >> _FIELD)
 
 
+@lru_cache(maxsize=65536)
 def z_refutes(t: Term) -> bool:
     """True if some valuation of the bank makes t > 0 in the integers
     (meet = min, join = max, fusion = +, residuals = differences).
@@ -330,6 +331,7 @@ def lg_valid_sequent(s: Sequent) -> bool:
 
 
 def clear_caches():
+    z_refutes.cache_clear()
     semigroup_contains_identity.cache_clear()
     lg_valid_leq_e.cache_clear()
     lg_valid_sequent.cache_clear()

@@ -64,9 +64,46 @@ class _Binary(Term):
     def __hash__(self):
         return self._h
 
+    def __eq__(self, other):
+        # identity, class and stored hash first; then the children, without
+        # recursion.  A tree meets each pair of nodes once, so the first 32
+        # pairs expanded are not remembered; past them every pair is, so
+        # equal DAGs built apart compare in time linear in their nodes.
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if other._h != self._h:
+            return False
+        stack = [self.l, other.l, self.r, other.r]
+        seen = set()
+        fresh = 32
+        while stack:
+            b = stack.pop()
+            a = stack.pop()
+            if a is b:
+                continue
+            cls = a.__class__
+            if cls is not b.__class__:
+                return False
+            if cls is Var:
+                if a.name != b.name:
+                    return False
+            elif cls is ConstE or cls is ConstF:
+                continue
+            elif a._h != b._h:
+                return False
+            elif fresh:
+                fresh -= 1
+                stack += (a.l, b.l, a.r, b.r)
+            elif (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                stack += (a.l, b.l, a.r, b.r)
+        return True
+
 
 # Plain subclasses: @dataclass on a subclass would replace the stored hash
-# with the generated recursive one.  Equality still compares classes.
+# and the equality above with the generated recursive ones.
 
 
 class Meet(_Binary):

@@ -17,7 +17,7 @@ from icrl.lg_oracle import (
     to_gnf,
 )
 from icrl.terms import E, Fuse, Join, LDiv, Meet, Sequent, Var, parse_sequent, parse_term
-from tests_helpers_oracles import bfs_identity_oracle
+from tests_helpers_oracles import bfs_identity_oracle, rounds_identity_oracle
 
 x, y = Var("x"), Var("y")
 
@@ -128,6 +128,56 @@ def test_automaton_agrees_with_bfs_closure():
             assert automaton_says, f"BFS found identity, automaton missed it: {gens}"
         if not automaton_says:
             assert not bfs_says, f"automaton denies identity BFS found: {gens}"
+
+
+def _random_words(rng, count, length):
+    """A set of `count` distinct non-empty reduced words over x, y, z, each
+    reduced from 1 to `length` random letters."""
+    gens = set()
+    while len(gens) < count:
+        letters = [(rng.choice("xyz"), rng.choice((1, -1))) for _ in range(rng.randint(1, length))]
+        gens.add(concat_words((), letters) or wx)
+    return frozenset(gens)
+
+
+def test_worklist_agrees_with_round_based_saturation_on_random_sets():
+    rng = random.Random("worklist")
+    answers = [0, 0]
+    for _ in range(2000):
+        gens = _random_words(rng, rng.randint(1, 8), 8)
+        assert semigroup_contains_identity(gens) is rounds_identity_oracle(gens), gens
+        answers[semigroup_contains_identity(gens)] += 1
+    assert min(answers) > 200, answers
+    # many words: the worklist returns early on a True answer
+    large_true = 0
+    for _ in range(40):
+        gens = _random_words(rng, rng.randint(21, 28), 6)
+        assert semigroup_contains_identity(gens) is rounds_identity_oracle(gens), gens
+        large_true += semigroup_contains_identity(gens)
+    assert large_true >= 20
+
+
+def test_worklist_agrees_with_round_based_saturation_on_oracle_blocks(monkeypatch):
+    # every generator set lg_valid_leq_e asks about, on cold caches
+    met = []
+    saturate = lg_oracle.semigroup_contains_identity
+
+    def record(gens):
+        met.append(gens)
+        return saturate(gens)
+
+    lg_oracle.clear_caches()
+    monkeypatch.setattr(lg_oracle, "semigroup_contains_identity", record)
+    rng = random.Random("worklist-blocks")
+    for _ in range(2000):
+        try:
+            lg_valid_leq_e(gen_term(rng, num_vars=3, depth=rng.randint(4, 6)))
+        except GnfSizeError:
+            pass
+    assert len(met) > 300
+    assert any(len(gens) > 20 for gens in met)
+    for gens in met:
+        assert saturate(gens) is rounds_identity_oracle(gens), gens
 
 
 def test_lg_validity_implies_ablg_validity():

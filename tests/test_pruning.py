@@ -129,7 +129,6 @@ def _doubled(t, times):
 
 @pytest.mark.parametrize("cone", [False, True])
 def test_lanes_stand_aside_past_the_field(cone):
-    prover.clear_caches()  # equal DAGs built apart compare slowly in a term-keyed cache
     t = Meet(x, LDiv(x, E))  # min(x, -x): -|x| in Z and in the cone alike
     lanes, bound = prover._lanes(_doubled(t, 13), cone)
     assert bound == 3 * 2**13

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -262,3 +263,25 @@ def test_subst_f_to_e_shares_f_free_subterms():
     out = subst_f_to_e(t)
     assert out == Meet(free, LDiv(x, E))
     assert out.l is free
+
+
+def _doubled(t, times):
+    """t fused with itself `times` times over: 2**times copies, shared as a DAG."""
+    for _ in range(times):
+        t = Fuse(t, t)
+    return t
+
+
+def test_equal_dags_built_apart_compare_in_linear_time():
+    x = Var("x")
+    a, b = _doubled(Join(x, E), 24), _doubled(Join(x, E), 24)
+    assert a is not b
+    start = time.perf_counter()
+    assert a == b
+    assert time.perf_counter() - start < 1e-3
+    # e and f hash alike, so these differ only at the deepest leaf
+    c = _doubled(Join(x, F), 24)
+    assert hash(c) == hash(a)
+    assert a != c and not (c == a)
+    assert Meet(x, x) != Join(x, x) and Meet(x, x) == Meet(x, Var("x"))
+    assert Join(x, E) != Join(Var("y"), E)

@@ -71,6 +71,31 @@ def test_pointed_input_raises_even_when_z_refutes_it(oracle):
         z_refutes(t)
 
 
+def test_z_refutes_answers_once_per_term():
+    t = parse_term("(x \\/ e) * (y /\\ e)")
+    lg_oracle.clear_caches()
+    assert z_refutes(t) is True
+    hits = z_refutes.cache_info().hits
+    assert z_refutes(parse_term("(x \\/ e) * (y /\\ e)")) is True  # an equal term built apart
+    assert z_refutes.cache_info().hits == hits + 1
+    assert z_refutes.cache_info().currsize == 1
+    lg_oracle.clear_caches()
+    assert z_refutes.cache_info().currsize == 0
+    # both oracles ask it of the same term: one evaluation
+    lg_oracle.lg_valid_leq_e(t)
+    ablg_oracle.ablg_valid_leq_e(t)
+    assert z_refutes.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def test_pointed_input_raises_again_since_errors_are_not_cached():
+    t = parse_term("(x \\/ e) * f", Theory.CA)
+    lg_oracle.clear_caches()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            z_refutes(t)
+    assert z_refutes.cache_info().currsize == 0
+
+
 def _doubled(t, times):
     """t fused with itself `times` times over: 2**times copies, shared as a DAG."""
     for _ in range(times):

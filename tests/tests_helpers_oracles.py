@@ -6,6 +6,58 @@ from icrl.ablg_oracle import LinearForm, StrictSystem
 from icrl.lg_oracle import concat_words
 
 
+def rounds_identity_oracle(gens) -> bool:
+    """Round-based automaton saturation, the reference for the worklist in
+    `lg_oracle.semigroup_contains_identity`.
+
+    Each generator is a path of letter edges from state 0 to state 1, and an
+    epsilon edge leads from 1 back to 0.  Every round recomputes each state's
+    epsilon-closure from scratch and adds an epsilon edge p -> q whenever
+    p -a-> r =eps*=> s -a^-1-> q; the rounds stop when one adds nothing, and
+    the identity is a product of generators iff 0 =eps*=> 1 then.
+    """
+    gens = frozenset(gens)
+    if not gens:
+        raise ValueError("generator set must be non-empty")
+    if () in gens:
+        return True
+    targets: dict = {}  # (state, letter) -> targets
+    inverse_edges = []  # (p, a^-1, r) for every letter edge p -a-> r
+    num_states = 2
+    for word in sorted(gens):
+        prev = 0
+        for i, (v, sign) in enumerate(word):
+            if i == len(word) - 1:
+                dst = 1
+            else:
+                dst, num_states = num_states, num_states + 1
+            targets.setdefault((prev, (v, sign)), set()).add(dst)
+            inverse_edges.append((prev, (v, -sign), dst))
+            prev = dst
+    eps: dict[int, set[int]] = {1: {0}}
+    changed = True
+    while changed:
+        changed = False
+        closure = []
+        for s in range(num_states):
+            reach = {s}
+            stack = [s]
+            while stack:
+                for r in eps.get(stack.pop(), ()):
+                    if r not in reach:
+                        reach.add(r)
+                        stack.append(r)
+            closure.append(reach)
+        for p, inv, r in inverse_edges:
+            for s in closure[r]:
+                for q in targets.get((s, inv), ()):
+                    dsts = eps.setdefault(p, set())
+                    if q not in dsts:
+                        dsts.add(q)
+                        changed = True
+    return 1 in closure[0]
+
+
 def bfs_identity_oracle(gens, depth: int) -> bool:
     """Sound but incomplete closure check: products of at most `depth` generators.
 

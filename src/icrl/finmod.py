@@ -1,11 +1,15 @@
 """Finite-algebra workbench: validation, properties, enumeration, refutation.
 
-Residuated lattices are enumerated lattice-first: every residuated fusion
-preserves joins in each argument, so it is determined by its values on
-join-irreducible pairs; those are filled in by a monotone DFS and the
-resulting table is kept only when the unit, associativity, and residual
-existence checks pass.  Isomorphism rejection is by canonical form
-(lexicographically minimal serialized tables over all relabelings).
+Residuated lattices are enumerated lattice-first, over one labeled
+representative of each lattice: every residuated fusion preserves joins in
+each argument, so it is determined by its values on join-irreducible pairs;
+those are filled in by a monotone DFS, each value first bounded by the unit,
+and the resulting table is kept only when the unit, associativity, and
+residual existence checks pass.  Isomorphic candidates share their lattice
+representative, so isomorphism rejection takes the least serialized tables
+over that lattice's automorphisms; sirmonoid candidates all have e = 0 and
+are compared over the relabelings that fix it.  The first candidate of each
+isomorphism class is kept.
 
 Semi-integral residuated pomonoids derive their order from the residual
 (a below b iff a\\b = e) rather than storing an order table.
@@ -428,46 +432,104 @@ def check_property(a: FiniteAlgebra, name: str, arg: int | None = None) -> bool:
 
 # --- enumeration -------------------------------------------------------------------
 
+# Built on first use inside enumerate_algebras and emptied by clear_caches():
+# the lattice representatives of each size and the automorphisms of each
+# representative's order.
+_LATTICE_REPS: dict[int, list] = {}
+_AUTOMORPHISMS: dict = {}
+
 
 def _partial_orders(n: int):
-    """All labeled partial orders on 0..n-1 as leq tables: each pair i < j is
-    incomparable, i below j or j below i, and transitivity filters."""
+    """All labeled partial orders on 0..n-1 as leq tables, in the order of
+    itertools.product over the pairs i < j, each incomparable (0), i below j
+    (1) or j below i (2).  An order is transitive iff each of its three-element
+    restrictions is, so the DFS checks a triple when the last of its three
+    pairs is set and never extends a prefix that has failed one."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for combo in itertools.product((0, 1, 2), repeat=len(pairs)):
-        leq = [[i == j for j in range(n)] for i in range(n)]
-        for (i, j), rel in zip(pairs, combo):
-            if rel == 1:
-                leq[i][j] = True
-            elif rel == 2:
-                leq[j][i] = True
-        if all(
-            leq[i][k] or not leq[j][k]
-            for i in range(n) for j in range(n) if leq[i][j] for k in range(n)
-        ):
+    index = {p: t for t, p in enumerate(pairs)}
+    closing = [
+        [
+            k for k in range(n)
+            if k not in (i, j)
+            and index[min(i, k), max(i, k)] < t
+            and index[min(j, k), max(j, k)] < t
+        ]
+        for t, (i, j) in enumerate(pairs)
+    ]
+    leq = [[i == j for j in range(n)] for i in range(n)]
+
+    def transitive(triple):
+        return not any(
+            leq[a][b] and leq[b][c] and not leq[a][c]
+            for a, b, c in itertools.permutations(triple)
+        )
+
+    def assign(t):
+        if t == len(pairs):
             yield _tbl(leq)
+            return
+        i, j = pairs[t]
+        for rel in (0, 1, 2):
+            leq[i][j], leq[j][i] = rel == 1, rel == 2
+            if all(transitive((i, j, k)) for k in closing[t]):
+                yield from assign(t + 1)
+        leq[i][j] = leq[j][i] = False
+
+    yield from assign(0)
 
 
-def _lattices(n: int):
-    """All labeled lattice orders on 0..n-1 as (leq, meet, join) triples."""
-    for leq in _partial_orders(n):
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
-        lattice = True
-        for i in range(n):
-            if not lattice:
-                break
-            for j in range(n):
-                lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
-                glb = [k for k in lower if all(leq[m][k] for m in lower)]
-                upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
-                lub = [k for k in upper if all(leq[k][m] for m in upper)]
-                if len(glb) != 1 or len(lub) != 1:
-                    lattice = False
-                    break
-                meet[i][j] = glb[0]
-                join[i][j] = lub[0]
-        if lattice:
-            yield leq, _tbl(meet), _tbl(join)
+def _lattice_tables(n, leq):
+    """(meet, join) for a lattice order, or None: the meet of i and j is the
+    element whose down-set is their common down-set, and dually."""
+    down = [sum(1 << k for k in range(n) if leq[k][i]) for i in range(n)]
+    up = [sum(1 << k for k in range(n) if leq[i][k]) for i in range(n)]
+    below = {m: i for i, m in enumerate(down)}
+    above = {m: i for i, m in enumerate(up)}
+    meet = [[below.get(down[i] & down[j]) for j in range(n)] for i in range(n)]
+    join = [[above.get(up[i] & up[j]) for j in range(n)] for i in range(n)]
+    if any(None in row for row in meet) or any(None in row for row in join):
+        return None
+    return _tbl(meet), _tbl(join)
+
+
+def _relabel_order(leq, perm):
+    """The order that perm carries leq to: perm[x] below perm[y] iff x below y."""
+    n = len(leq)
+    inv = [0] * n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return tuple(tuple(leq[inv[x]][inv[y]] for y in range(n)) for x in range(n))
+
+
+def _lattice_reps(n: int):
+    """One labeled representative per isomorphism class of n-element lattices,
+    the first of its class among the labeled partial orders; searching fuse
+    tables over representatives still reaches every algebra up to
+    isomorphism.  An order that relabels an earlier representative is skipped
+    before its meet and join are built."""
+    reps = _LATTICE_REPS.get(n)
+    if reps is None:
+        reps, seen = [], set()
+        for leq in _partial_orders(n):
+            if leq in seen:
+                continue
+            tables = _lattice_tables(n, leq)
+            if tables is not None:
+                reps.append((leq, *tables))
+                seen.update(_relabel_order(leq, p) for p in itertools.permutations(range(n)))
+        _LATTICE_REPS[n] = reps
+    return reps
+
+
+def _automorphisms(leq):
+    """The permutations that carry the order to itself."""
+    autos = _AUTOMORPHISMS.get(leq)
+    if autos is None:
+        autos = _AUTOMORPHISMS[leq] = [
+            p for p in itertools.permutations(range(len(leq)))
+            if _relabel_order(leq, p) == leq
+        ]
+    return autos
 
 
 def _join_irreducibles(n, leq, join):
@@ -484,25 +546,6 @@ def _join_irreducibles(n, leq, join):
     return out
 
 
-def _lattice_reps(n: int):
-    """One labeled representative per isomorphism class of n-element lattices;
-    searching fuse tables over representatives still reaches every algebra
-    up to isomorphism."""
-    seen = set()
-    for leq, meet, join in _lattices(n):
-        best = None
-        for perm in itertools.permutations(range(n)):
-            inv = [0] * n
-            for i, p in enumerate(perm):
-                inv[p] = i
-            serial = tuple(leq[inv[x]][inv[y]] for x in range(n) for y in range(n))
-            if best is None or serial < best:
-                best = serial
-        if best not in seen:
-            seen.add(best)
-            yield leq, meet, join
-
-
 def _enumerate_rl(n: int, integral_only: bool):
     for leq, meet, join in _lattice_reps(n):
         bottom = next(x for x in range(n) if all(leq[x][y] for y in range(n)))
@@ -517,38 +560,57 @@ def _enumerate_rl(n: int, integral_only: bool):
 
 
 def _fill_fuse(n, leq, meet, join, jis, decomp, bottom, e):
+    """Fuse tables with unit e, by a monotone DFS over the values on pairs of
+    join-irreducibles; each table is their join-preserving extension.  Each
+    cell's values are first bounded by the unit and monotonicity: j <= e
+    gives jk <= k, k <= e gives jk <= j, e <= j gives k <= jk and e <= k
+    gives j <= jk, so the bounds drop only tables that _finish_rl rejects."""
     cells = [(j, k) for j in jis for k in jis]
+    choices = [
+        [
+            v for v in range(n)
+            if (leq[v][k] or not leq[j][e]) and (leq[v][j] or not leq[k][e])
+            and (leq[k][v] or not leq[e][j]) and (leq[j][v] or not leq[e][k])
+        ]
+        for j, k in cells
+    ]
+    # the earlier cells below and above each cell, whose values bound its own
+    below = [
+        [c for c in range(idx) if leq[cells[c][0]][j] and leq[cells[c][1]][k]]
+        for idx, (j, k) in enumerate(cells)
+    ]
+    above = [
+        [c for c in range(idx) if leq[j][cells[c][0]] and leq[k][cells[c][1]]]
+        for idx, (j, k) in enumerate(cells)
+    ]
+    at = {cell: idx for idx, cell in enumerate(cells)}
+    spans = [
+        [[at[j, k] for j in decomp[x] for k in decomp[y]] for y in range(n)]
+        for x in range(n)
+    ]
+    values = [0] * len(cells)
 
-    def joined(values, x, y):
+    def joined(x, y):
         acc = bottom
-        for j in decomp[x]:
-            for k in decomp[y]:
-                acc = join[acc][values[(j, k)]]
+        for c in spans[x][y]:
+            acc = join[acc][values[c]]
         return acc
 
-    def assign(idx, values):
+    def assign(idx):
         if idx == len(cells):
-            fuse = [[joined(values, x, y) for y in range(n)] for x in range(n)]
-            alg = _finish_rl(n, leq, meet, join, _tbl(fuse), e)
+            fuse = _tbl([joined(x, y) for y in range(n)] for x in range(n))
+            alg = _finish_rl(n, leq, meet, join, fuse, e)
             if alg is not None:
                 yield alg
             return
-        j, k = cells[idx]
-        for v in range(n):
-            ok = True
-            for (j2, k2), v2 in values.items():
-                if leq[j2][j] and leq[k2][k] and not leq[v2][v]:
-                    ok = False
-                    break
-                if leq[j][j2] and leq[k][k2] and not leq[v][v2]:
-                    ok = False
-                    break
-            if ok:
-                values[(j, k)] = v
-                yield from assign(idx + 1, values)
-                del values[(j, k)]
+        for v in choices[idx]:
+            if all(leq[values[c]][v] for c in below[idx]) and all(
+                leq[v][values[c]] for c in above[idx]
+            ):
+                values[idx] = v
+                yield from assign(idx + 1)
 
-    yield from assign(0, {})
+    yield from assign(0)
 
 
 def _greatest(leq, sols):
@@ -595,25 +657,26 @@ def _finish_rl(n, leq, meet, join, fuse, e):
     return alg
 
 
-def _canonical_form(a: FiniteAlgebra):
+def _orbit_key(a: FiniteAlgebra, perms):
+    """The algebra's order table and its least serialization under perms, a
+    group of relabelings that carries the order, meet and join tables to
+    themselves: two candidates share the key iff one of perms carries one to
+    the other."""
     n = a.size
-    tables = [t for t in (a.meet, a.join, a.fuse, a.ldiv, a.rdiv) if t is not None]
+    rng = range(n)
+    tables = (a.fuse, a.ldiv, a.rdiv)
     best = None
-    for perm in itertools.permutations(range(n)):
+    for perm in perms:
         inv = [0] * n
         for i, p in enumerate(perm):
             inv[p] = i
         serial = [perm[a.e], -1 if a.f is None else perm[a.f]]
-        if a.leq is not None:
-            serial.extend(
-                a.leq[inv[x]][inv[y]] for x in range(n) for y in range(n)
-            )
         for t in tables:
-            serial.extend(perm[t[inv[x]][inv[y]]] for x in range(n) for y in range(n))
+            serial.extend(perm[t[inv[x]][inv[y]]] for x in rng for y in rng)
         key = tuple(serial)
         if best is None or key < best:
             best = key
-    return best
+    return a.leq, best
 
 
 def _enumerate_monoids(n: int, e: int):
@@ -655,7 +718,7 @@ def _enumerate_monoids(n: int, e: int):
 
 
 def _enumerate_sirmonoids(n: int):
-    e = 0  # unit position is normalized away by canonicalization anyway
+    e = 0  # isomorphisms can move the unit to 0, so one position reaches every class
     # the orders in which e is maximal, the same for every fuse table
     orders = [
         below for below in _partial_orders(n)
@@ -710,7 +773,11 @@ def _enumerate_casari(n: int):
 
 @lru_cache(maxsize=None)
 def enumerate_algebras(size: int, cls: str) -> tuple[FiniteAlgebra, ...]:
-    """All non-isomorphic validated algebras of the class at this size."""
+    """All non-isomorphic validated algebras of the class at this size: of
+    each isomorphism class, the first candidate the generator builds.  The
+    order and the labels are part of the answer, since `refute` returns the
+    first countermodel it meets.  Every table this needs is built here, on
+    first use, and emptied by `clear_caches()`."""
     if cls not in MAX_SIZE:
         raise ValueError(f"unknown class {cls!r} (expected one of {sorted(MAX_SIZE)})")
     if size < 1 or size > MAX_SIZE[cls]:
@@ -723,10 +790,15 @@ def enumerate_algebras(size: int, cls: str) -> tuple[FiniteAlgebra, ...]:
         gen = _enumerate_sirmonoids(size)
     else:
         gen = _enumerate_casari(size)
+    # e = 0 in every sirmonoid candidate, so isomorphisms fix it; lattice
+    # candidates share their representative's order, so isomorphisms are its
+    # automorphisms
+    fixing_e = [(0, *p) for p in itertools.permutations(range(1, size))]
     seen = set()
     out = []
     for alg in gen:
-        key = _canonical_form(alg)
+        perms = fixing_e if cls == "sirmonoid" else _automorphisms(alg.leq)
+        key = _orbit_key(alg, perms)
         if key not in seen:
             seen.add(key)
             out.append(alg)
@@ -778,6 +850,8 @@ def refute(
     algebras include the class; exhausting the bound proves nothing."""
     if cls not in MAX_SIZE:
         raise ValueError(f"unknown class {cls!r} (expected one of {sorted(MAX_SIZE)})")
+    if size_bound < 1:
+        raise ValueError(f"size bound {size_bound} must be at least 1")
     if size_bound > MAX_SIZE[cls]:
         raise ValueError(f"size bound {size_bound} exceeds the cap for {cls} ({MAX_SIZE[cls]})")
     names = sorted(sequent_variables(s))
@@ -829,3 +903,5 @@ def negative_cone(a: FiniteAlgebra) -> FiniteAlgebra:
 
 def clear_caches():
     enumerate_algebras.cache_clear()
+    _LATTICE_REPS.clear()
+    _AUTOMORPHISMS.clear()

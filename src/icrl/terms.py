@@ -25,6 +25,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 
 class Term:
@@ -45,21 +46,25 @@ class ConstE(Term):
 
 @dataclass(frozen=True, slots=True)
 class ConstF(Term):
-    pass
+    def __hash__(self):
+        # e has the dataclass hash, hash(()); f must not collide with it
+        return hash((0,))
 
 
 @dataclass(frozen=True, slots=True)
 class _Binary(Term):
-    """A binary connective.  Its hash is the dataclass hash, hash((l, r)),
+    """A binary connective.  Its hash is hash((tag, l, r)), with the class's
+    own tag, so connectives over the same children hash apart.  It is
     computed once at construction from the children's stored hashes: hashing
     a term is O(1) and never recurses, however deep the term."""
 
     l: Term
     r: Term
     _h: int = field(init=False, repr=False, compare=False)
+    _tag: ClassVar[int] = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "_h", hash((self.l, self.r)))
+        object.__setattr__(self, "_h", hash((self._tag, self.l, self.r)))
 
     def __hash__(self):
         return self._h
@@ -108,26 +113,31 @@ class _Binary(Term):
 
 class Meet(_Binary):
     __slots__ = ()
+    _tag = 1
 
 
 class Join(_Binary):
     __slots__ = ()
+    _tag = 2
 
 
 class Fuse(_Binary):
     __slots__ = ()
+    _tag = 3
 
 
 class LDiv(_Binary):
     """Left residual l \\ r."""
 
     __slots__ = ()
+    _tag = 4
 
 
 class RDiv(_Binary):
     """Right residual l / r."""
 
     __slots__ = ()
+    _tag = 5
 
 
 E = ConstE()

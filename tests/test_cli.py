@@ -170,6 +170,16 @@ def test_enumeration_beyond_the_cap_is_refused():
     assert "out of range" in proc.stderr
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_refute_bound_below_one_is_an_error(capsys, bound):
+    # an empty search would print "no countermodel" and exit 1, a negative
+    code, out, err = run_cli(
+        capsys, "finmod", "refute", "--max-size", bound, "--class", "rl", "x => e"
+    )
+    assert code == 2 and out == ""
+    assert "must be at least 1" in err
+
+
 def test_closed_stdout_is_a_quiet_error():
     cmd = [sys.executable, "-m", "icrl.cli", "finmod", "enumerate", "--size", "3", "--class", "rl"]
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)

@@ -19,6 +19,7 @@ from icrl.finmod import (
     validate,
 )
 from icrl.terms import E, LDiv, Meet, Sequent, Theory, Var, parse_sequent, parse_term
+from tests_helpers_algebras import canonical_form, lattices
 
 x, y = Var("x"), Var("y")
 
@@ -192,13 +193,13 @@ def test_enumerate_small_sizes():
 
 def test_enumerate_rl_matches_brute_force_at_size_2():
     found = set()
-    for leq, meet, join in finmod._lattices(2):
+    for leq, meet, join in lattices(2):
         for e in range(2):
             for cells in itertools.product(range(2), repeat=4):
                 fuse = (cells[0:2], cells[2:4])
                 alg = finmod._finish_rl(2, leq, meet, join, fuse, e)
                 if alg is not None:
-                    found.add(finmod._canonical_form(alg))
+                    found.add(canonical_form(alg))
     assert len(found) == len(enumerate_algebras(2, "rl"))
 
 

@@ -195,22 +195,27 @@ def test_round_trip_random_sequents():
 
 @pytest.mark.parametrize("cls", [Meet, Join, Fuse, LDiv, RDiv])
 def test_binary_hash_is_the_dataclass_hash(cls):
+    # the hash of the dataclass fields l and r behind the class's own tag
     t = cls(Var("x"), cls(Var("y"), E))
-    assert hash(t) == hash((t.l, t.r))
-    assert hash(t.r) == hash((Var("y"), E))
+    assert hash(t) == hash((cls._tag, t.l, t.r))
+    assert hash(t.r) == hash((cls._tag, Var("y"), E))
     assert t == cls(Var("x"), cls(Var("y"), E))
+    x, y = Var("x"), Var("y")
+    others = {hash(c(x, y)) for c in (Meet, Join, Fuse, LDiv, RDiv) if c is not cls}
+    assert hash(cls(x, y)) not in others
 
 
 def test_leaf_hashes_are_the_dataclass_hashes():
     assert hash(Var("x")) == hash(("x",))
-    assert hash(E) == hash(()) == hash(F)
+    assert hash(E) == hash(())
+    assert hash(F) == hash((0,)) != hash(E)
 
 
 def test_deep_chain_hashes_without_recursion():
     t = Var("x")
     for _ in range(10_000):
         t = Fuse(t, Var("y"))
-    assert hash(t) == hash((t.l, t.r))
+    assert hash(t) == hash((Fuse._tag, t.l, t.r))
     assert t in {t}
 
 
@@ -279,8 +284,13 @@ def test_equal_dags_built_apart_compare_in_linear_time():
     start = time.perf_counter()
     assert a == b
     assert time.perf_counter() - start < 1e-3
-    # e and f hash alike, so these differ only at the deepest leaf
+    # every stored hash of c forced to a's: they differ only at the deepest
+    # leaf, and equality must walk there rather than trust the hashes
     c = _doubled(Join(x, F), 24)
+    node_a, node_c = a, c
+    while not isinstance(node_c, Var):
+        object.__setattr__(node_c, "_h", node_a._h)
+        node_a, node_c = node_a.l, node_c.l
     assert hash(c) == hash(a)
     assert a != c and not (c == a)
     assert Meet(x, x) != Join(x, x) and Meet(x, x) == Meet(x, Var("x"))

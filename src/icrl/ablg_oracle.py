@@ -28,6 +28,7 @@ from . import lg_oracle
 from .terms import (
     ConstE,
     ConstF,
+    E,
     Fuse,
     Join,
     LDiv,
@@ -168,7 +169,7 @@ def _sequent_goal(s: Sequent) -> Term:
     """
     left = product_term(subst_f_to_e(t) for t in s.left)
     right = product_term(subst_f_to_e(t) for t in s.right)
-    return Fuse(left, LDiv(right, ConstE()))
+    return Fuse(left, LDiv(right, E))
 
 
 @lru_cache(maxsize=65536)

@@ -27,7 +27,7 @@ import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .terms import ConstE, ConstF, Fuse, Join, LDiv, Meet, RDiv, Sequent, Term, Var, product_term
+from .terms import ConstE, ConstF, E, Fuse, Join, LDiv, Meet, RDiv, Sequent, Term, Var, product_term
 
 # A group word is a freely reduced tuple of (variable, sign) letters;
 # the empty tuple is the group identity.
@@ -326,7 +326,7 @@ def lg_valid_sequent(s: Sequent) -> bool:
     u = s.right[0]
     t = product_term(s.left)
     if not isinstance(u, ConstE):
-        t = Fuse(t, LDiv(u, ConstE()))
+        t = Fuse(t, LDiv(u, E))
     return lg_valid_leq_e(t)
 
 

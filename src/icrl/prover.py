@@ -36,6 +36,7 @@ from .terms import (
     ConstE,
     ConstF,
     E,
+    F,
     Fuse,
     Join,
     LDiv,
@@ -47,6 +48,7 @@ from .terms import (
     Var,
     _parse_sequent,
     check_sequent_for_theory,
+    clear_table,
     normalize_for_theory,
     print_sequent,
     print_term,
@@ -337,7 +339,7 @@ def _analyses(node: Proof, theory: Theory):
         return
 
     if rule == F_LEFT:
-        if not prem and L == (ConstF(),) and R == ():
+        if not prem and L == (F,) and R == ():
             yield {}
         return
 
@@ -788,13 +790,11 @@ def _alts_multiset(goal, ctx: _Ctx):
 
 def _alts_ca(goal, ctx: _Ctx):
     L, R = goal  # both sorted multisets
-    f = ConstF()
-
     if len(L) == 1 and len(R) == 1 and L[0] == R[0]:
         yield ID, {}, []
     if not L and R == (E,):
         yield E_RIGHT, {}, []
-    if L == (f,) and not R:
+    if L == (F,) and not R:
         yield F_LEFT, {}, []
 
     distinctL, distinctR = _first_positions(L), _first_positions(R)
@@ -904,6 +904,7 @@ def _refuted(goal, cone: bool) -> bool:
 
 def clear_caches():
     _lanes.cache_clear()
+    clear_table()  # the terms' intern table
 
 
 def _prove(goal, ctx: _Ctx, depth: int):

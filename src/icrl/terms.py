@@ -29,29 +29,64 @@ from typing import ClassVar
 
 
 class Term:
-    """Base class for term AST nodes.  Instances are immutable."""
+    """Base class for term AST nodes.  Instances are immutable and interned:
+    a constructor called again on the same arguments returns the object it
+    built first, so equal terms are normally one object."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+# The intern table: every variable (keyed by its name) and connective (by
+# its class and its children's ids) built since the table was last emptied.
+# An entry holds its term, hence the children, alive, so their ids name
+# them.  Of two threads that race on one miss, both return the term entered
+# first.  The table empties itself when it reaches INTERN_CAP entries, and
+# `clear_table()` empties it on demand.  Emptying is always safe: a term
+# built before it is not the same object as its twin built after, but the
+# two still compare equal, by structure, and hash alike.
+_TABLE: dict = {}
+INTERN_CAP = 1 << 16  # as many as each lru cache of the package holds
+
+
+def clear_table():
+    _TABLE.clear()
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Var(Term):
     name: str
 
+    def __new__(cls, name: str):
+        t = _TABLE.get(name)
+        if t is None:
+            t = _new(cls)
+            _set_name(t, name)
+            if len(_TABLE) >= INTERN_CAP:
+                _TABLE.clear()
+            t = _TABLE.setdefault(name, t)
+        return t
 
-@dataclass(frozen=True, slots=True)
+    def __reduce__(self):
+        return Var, (self.name,)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ConstE(Term):
-    pass
+    def __new__(cls):
+        return E
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ConstF(Term):
+    def __new__(cls):
+        return F
+
     def __hash__(self):
         # e has the dataclass hash, hash(()); f must not collide with it
         return hash((0,))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class _Binary(Term):
     """A binary connective.  Its hash is hash((tag, l, r)), with the class's
     own tag, so connectives over the same children hash apart.  It is
@@ -60,20 +95,35 @@ class _Binary(Term):
 
     l: Term
     r: Term
-    _h: int = field(init=False, repr=False, compare=False)
+    _h: int = field(repr=False, compare=False)
     _tag: ClassVar[int] = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash((self._tag, self.l, self.r)))
+    def __new__(cls, l: Term, r: Term):
+        key = (cls, id(l), id(r))
+        t = _TABLE.get(key)
+        if t is None:
+            t = _new(cls)
+            _set_l(t, l)
+            _set_r(t, r)
+            _set_h(t, hash((cls._tag, l, r)))
+            if len(_TABLE) >= INTERN_CAP:
+                _TABLE.clear()
+            t = _TABLE.setdefault(key, t)
+        return t
+
+    def __reduce__(self):
+        return type(self), (self.l, self.r)
 
     def __hash__(self):
         return self._h
 
     def __eq__(self, other):
-        # identity, class and stored hash first; then the children, without
-        # recursion.  A tree meets each pair of nodes once, so the first 32
-        # pairs expanded are not remembered; past them every pair is, so
-        # equal DAGs built apart compare in time linear in their nodes.
+        # identity first, which decides every pair of terms built since the
+        # intern table was last emptied; then class, stored hash and the
+        # children, without recursion.  A tree meets each pair of nodes
+        # once, so the first 32 pairs expanded are not remembered; past them
+        # every pair is, so equal DAGs built apart compare in time linear in
+        # their nodes.
         if self is other:
             return True
         if other.__class__ is not self.__class__:
@@ -105,6 +155,13 @@ class _Binary(Term):
                 seen.add((id(a), id(b)))
                 stack += (a.l, b.l, a.r, b.r)
         return True
+
+
+# A new term is filled through the slot descriptors, which a frozen
+# dataclass's own __setattr__ refuses.
+_new = object.__new__
+_set_name = Var.name.__set__
+_set_l, _set_r, _set_h = _Binary.l.__set__, _Binary.r.__set__, _Binary._h.__set__
 
 
 # Plain subclasses: @dataclass on a subclass would replace the stored hash
@@ -140,8 +197,9 @@ class RDiv(_Binary):
     _tag = 5
 
 
-E = ConstE()
-F = ConstF()
+# The constants are built once; their constructors return these.
+E = _new(ConstE)
+F = _new(ConstF)
 
 
 class Theory(enum.Enum):

@@ -29,11 +29,9 @@ from .finmod import (
 )
 from .lg_oracle import (
     GnfSizeError,
-    GroupNormalForm,
     lg_valid_leq_e,
     lg_valid_sequent,
     semigroup_contains_identity,
-    to_gnf,
 )
 from .prover import (
     Certificate,
@@ -75,8 +73,6 @@ __all__ = [
     "print_sequent",
     "print_term",
     "GnfSizeError",
-    "GroupNormalForm",
-    "to_gnf",
     "semigroup_contains_identity",
     "lg_valid_leq_e",
     "lg_valid_sequent",

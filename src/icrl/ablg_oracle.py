@@ -9,8 +9,11 @@ points suffice for refutations (scale a rational solution).
 The distribution into join-of-meets form is `lg_oracle.distribute`, the same
 algorithm the l-group oracle runs over free-group words, here run over
 exponent vectors (abelianization is a group homomorphism).  Before it runs,
-`lg_oracle.z_refutes` tries the integers, an abelian l-group, under a fixed
-bank of valuations; a positive value answers INVALID without a normal form.
+`lg_oracle.z_refutes` tries the integers, an abelian l-group, under the
+bank of valuations of the package's one integer evaluator, `lg_oracle.lanes`;
+a positive value answers INVALID without a normal form.  The evaluator's
+cache is emptied by `lg_oracle.clear_caches()` and `prover.clear_caches()`,
+not by `clear_caches()` here.
 
 Infeasibility is decided by exact Fourier-Motzkin elimination (integer rows,
 gcd-normalized).  No floating point anywhere; the tests cross-check it
@@ -19,28 +22,12 @@ against Gordan certificates found by an exact phase-1 simplex.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from . import lg_oracle
-from .terms import (
-    ConstE,
-    ConstF,
-    E,
-    Fuse,
-    Join,
-    LDiv,
-    Meet,
-    RDiv,
-    Sequent,
-    Term,
-    Var,
-    product_term,
-    subst_f_to_e,
-    variables,
-)
+from .terms import E, Fuse, LDiv, Sequent, Term, product_term, subst_f_to_e
 
 
 @dataclass(frozen=True, order=True)
@@ -176,49 +163,6 @@ def _sequent_goal(s: Sequent) -> Term:
 def ablg_valid_sequent(s: Sequent) -> bool:
     """Sequent validity over abelian l-groups, both sequent shapes."""
     return ablg_valid_leq_e(_sequent_goal(s))
-
-
-# --- integer min/max/+ evaluation ----------------------------------------------
-
-
-def eval_int(t: Term, valuation: dict[str, int]) -> int:
-    """Evaluate in the l-group of integers: meet=min, join=max, fusion=+."""
-    if isinstance(t, Var):
-        return valuation[t.name]
-    if isinstance(t, (ConstE, ConstF)):
-        return 0
-    a, b = eval_int(t.l, valuation), eval_int(t.r, valuation)
-    if isinstance(t, Meet):
-        return min(a, b)
-    if isinstance(t, Join):
-        return max(a, b)
-    if isinstance(t, Fuse):
-        return a + b
-    if isinstance(t, LDiv):
-        return b - a
-    if isinstance(t, RDiv):
-        return a - b
-    raise TypeError(f"not a term: {t!r}")
-
-
-# find_integer_refutation tries every variable value in [-GRID_BOUND, GRID_BOUND]
-GRID_BOUND = 3
-
-
-def find_integer_refutation(s: Sequent) -> dict[str, int] | None:
-    """Grid search for an integer valuation falsifying the sequent in Z.
-
-    Sound for both oracles (Z is an abelian l-group, and every abelian
-    l-group is an l-group); finding nothing proves nothing.
-    """
-    t = _sequent_goal(s)
-    names = sorted(variables(t))
-    grid = range(-GRID_BOUND, GRID_BOUND + 1)
-    for point in itertools.product(grid, repeat=len(names)):
-        val = dict(zip(names, point))
-        if eval_int(t, val) > 0:
-            return val
-    return None
 
 
 def clear_caches():

@@ -120,7 +120,7 @@ def cmd_oracle(args) -> int:
         "lines": ["VALID" if valid else "INVALID"],
     }
     if not valid:
-        refutation = ablg_oracle.find_integer_refutation(s)
+        refutation = lg_oracle.refuting_valuation((s.left, s.right))
         if refutation is not None:
             payload["refuting_valuation"] = refutation
             payload["lines"].append(
@@ -128,9 +128,8 @@ def cmd_oracle(args) -> int:
                 + ", ".join(f"{k} = {v}" for k, v in sorted(refutation.items()))
             )
         elif args.oracle == "lg":
-            box = ablg_oracle.GRID_BOUND
             payload["lines"].append(
-                f"no abelian refutation in [-{box},{box}]; instance may need a non-abelian order"
+                "no refutation in the integer bank; instance may need a non-abelian order"
             )
     _emit(payload, args.format)
     return AFFIRMATIVE if valid else NEGATIVE

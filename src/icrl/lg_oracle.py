@@ -15,19 +15,25 @@ stopped at the first identity path), tested against a brute-force closure.
 Every entry point takes only its query; the one resource limit is WORD_CAP,
 past which distribution raises GnfSizeError rather than truncating.
 
-Before any normal form, `z_refutes` evaluates the term in the l-group of
-integers under a fixed bank of valuations, once per term (cached); Z is an
-abelian l-group, so a positive value refutes t <= e for both oracles.
+The package's one evaluator in the integers lives here too: `lanes`
+evaluates a term under a fixed bank of 64 valuations at once, in Z or in its
+negative cone, and `refuting_lanes` sums a goal's sides with it.  Before any
+normal form, `z_refutes` asks them about the term, once per term (cached); Z
+is an abelian l-group, so a positive value refutes t <= e for both oracles.
+Search prunes its goals with the same evaluator (`prover._refuted`), and
+`icrl oracle` reports the first refuting valuation (`refuting_valuation`).
+`clear_caches()` here and `prover.clear_caches()` both empty its cache.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .terms import ConstE, ConstF, E, Fuse, Join, LDiv, Meet, RDiv, Sequent, Term, Var, product_term
+from .terms import (
+    ConstE, ConstF, E, Fuse, Join, LDiv, Meet, RDiv, Sequent, Term, Var, product_term, variables,
+)
 
 # A group word is a freely reduced tuple of (variable, sign) letters;
 # the empty tuple is the group identity.
@@ -40,17 +46,6 @@ WORD_CAP = 100_000
 
 class GnfSizeError(RuntimeError):
     """Distribution to join-of-meets form exceeded WORD_CAP."""
-
-
-@dataclass(frozen=True)
-class GroupNormalForm:
-    """Join of meets of group words: joinands outer, meetands inner."""
-
-    meetands_by_joinand: tuple[tuple[GroupWord, ...], ...]
-
-    def __post_init__(self):
-        assert self.meetands_by_joinand, "a normal form has at least one joinand"
-        assert all(block for block in self.meetands_by_joinand)
 
 
 def concat_words(w1: GroupWord, w2: GroupWord) -> GroupWord:
@@ -145,12 +140,6 @@ def _to_jom(t: Term):
     return distribute(t, _word_gen, (), concat_words, invert_word)
 
 
-def to_gnf(t: Term) -> GroupNormalForm:
-    """Join-of-meets of group words equal to t in every l-group."""
-    jom = _to_jom(t)
-    return GroupNormalForm(tuple(sorted(tuple(sorted(m)) for m in jom)))
-
-
 # --- rational-subset automaton ----------------------------------------------
 
 
@@ -208,7 +197,7 @@ def semigroup_contains_identity(gens: frozenset[GroupWord]) -> bool:
     return False
 
 
-# --- refutation in Z ------------------------------------------------------------
+# --- evaluation in Z -----------------------------------------------------------
 
 # The bank's 64 valuations are evaluated at once: a subterm's 64 values are
 # packed into one int, lane i at bits [17 i, 17 i + 17).  A lane holds the
@@ -225,10 +214,6 @@ _ONES = sum(1 << (_STRIDE * i) for i in range(_LANES))
 _BIASES = _BIAS * _ONES  # every lane 0
 _GUARDS = (1 << _FIELD) * _ONES
 _POSITIVE = (_BIAS + 1) * _ONES  # every lane 1
-
-
-class _LaneOverflow(Exception):
-    """A lane's value could leave its field."""
 
 
 def _bank_values(name: str) -> tuple[int, ...]:
@@ -254,53 +239,94 @@ def _ge_mask(a: int, b: int) -> int:
 
 
 @lru_cache(maxsize=65536)
+def lanes(t: Term, cone: bool) -> tuple[int, int, bool] | None:
+    """t's value under each valuation of the bank, packed, with f = e = 0:
+    in Z (meet = min, join = max, fusion = +, residuals = differences) or,
+    with `cone`, in its negative cone, where a variable's value v becomes
+    -|v| and x \\ y = y / x = min(0, y - x).
+
+    Returns the lanes, a bound on every lane's absolute value, and whether t
+    contains f; None when a lane could leave its 16-bit field, so no lane
+    ever wraps.
+    """
+    cls = type(t)
+    if cls is Var:
+        packed = _var_lanes(t.name)
+        if cone:
+            neg = 2 * _BIASES - packed
+            packed ^= (packed ^ neg) & _ge_mask(packed, neg)
+        return packed, _BANK_RANGE, False
+    if cls is ConstE:
+        return _BIASES, 0, False
+    if cls is ConstF:
+        return _BIASES, 0, True
+    left, right = lanes(t.l, cone), lanes(t.r, cone)
+    if left is None or right is None:
+        return None
+    (a, bound_a, pointed_a), (b, bound_b, pointed_b) = left, right
+    pointed = pointed_a or pointed_b
+    if cls is Meet or cls is Join:
+        pick = (a ^ b) & _ge_mask(a, b)
+        return (a ^ pick if cls is Meet else b ^ pick), max(bound_a, bound_b), pointed
+    bound = bound_a + bound_b
+    if bound > _LIMIT:
+        return None
+    if cls is Fuse:
+        return a + b - _BIASES, bound, pointed
+    packed = (b - a if cls is LDiv else a - b) + _BIASES
+    if cone:  # min(0, packed)
+        packed ^= (packed ^ _BIASES) & _ge_mask(packed, _BIASES)
+    return packed, bound, pointed
+
+
+# A goal L => R of search, or a sequent's two sides.
+Goal = tuple[tuple[Term, ...], tuple[Term, ...]]
+
+
+def refuting_lanes(goal: Goal, cone: bool) -> int:
+    """The lanes whose valuation makes the goal L => R false, as a mask of
+    their field bits: the sum of L's values exceeds that of R's (an empty
+    side sums to e = f = 0).  0 proves nothing; it is also the answer when
+    the total could leave the lane field."""
+    L, R = goal
+    total = _BIASES * (1 + len(R) - len(L))
+    bound = 0
+    for sign, side in ((1, L), (-1, R)):
+        for t in side:
+            hit = lanes(t, cone)
+            if hit is None:
+                return 0
+            total += sign * hit[0]
+            bound += hit[1]
+    if bound > _LIMIT:
+        return 0
+    return _ge_mask(total, _POSITIVE)
+
+
+def refuting_valuation(goal: Goal) -> dict[str, int] | None:
+    """The bank's first valuation that makes the goal L => R false in Z, by
+    variable name; None when `refuting_lanes` finds none."""
+    mask = refuting_lanes(goal, False)
+    if not mask:
+        return None
+    lane = ((mask & -mask).bit_length() - 1) // _STRIDE
+    names = set().union(*map(variables, goal[0] + goal[1]))
+    return {name: _bank_values(name)[lane] for name in sorted(names)}
+
+
+@lru_cache(maxsize=65536)
 def z_refutes(t: Term) -> bool:
-    """True if some valuation of the bank makes t > 0 in the integers
-    (meet = min, join = max, fusion = +, residuals = differences).
+    """True if some valuation of the bank makes t > 0 in Z.
 
     Then t <= e fails in Z, hence in every l-group and every abelian
-    l-group.  False proves nothing; it is also the answer whenever a lane's
-    value could leave its 16-bit field, so no lane ever wraps.
+    l-group.  False proves nothing.  A term containing f raises ValueError,
+    as the oracles do, unless the evaluator stands aside on it (then False,
+    and the normal forms raise).
     """
-    memo: dict[int, tuple[int, int]] = {}  # id(subterm) -> (lanes, bound on |value|)
-
-    def go(t):
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit
-        cls = type(t)
-        if cls is Var:
-            out = (_var_lanes(t.name), _BANK_RANGE)
-        elif cls is ConstE:
-            out = (_BIASES, 0)
-        elif cls is ConstF:
-            raise ValueError("pointed term: replace f by e before calling a group oracle")
-        else:
-            a, bound_a = go(t.l)
-            b, bound_b = go(t.r)
-            if cls is Meet or cls is Join:
-                pick = (a ^ b) & _ge_mask(a, b)
-                out = (a ^ pick if cls is Meet else b ^ pick, max(bound_a, bound_b))
-            else:
-                bound = bound_a + bound_b
-                if bound > _LIMIT:
-                    raise _LaneOverflow
-                if cls is Fuse:
-                    out = (a + b - _BIASES, bound)
-                elif cls is LDiv:
-                    out = (b - a + _BIASES, bound)
-                elif cls is RDiv:
-                    out = (a - b + _BIASES, bound)
-                else:
-                    raise TypeError(f"not a term: {t!r}")
-        memo[id(t)] = out
-        return out
-
-    try:
-        lanes, _ = go(t)
-    except _LaneOverflow:
-        return False
-    return _ge_mask(lanes, _POSITIVE) != 0
+    hit = lanes(t, False)
+    if hit is not None and hit[2]:  # t contains f
+        raise ValueError("pointed term: replace f by e before calling a group oracle")
+    return refuting_lanes(((t,), ()), False) != 0
 
 
 # --- validity ----------------------------------------------------------------
@@ -331,6 +357,7 @@ def lg_valid_sequent(s: Sequent) -> bool:
 
 
 def clear_caches():
+    lanes.cache_clear()
     z_refutes.cache_clear()
     semigroup_contains_identity.cache_clear()
     lg_valid_leq_e.cache_clear()

@@ -5,7 +5,10 @@ memoized per goal with failure caching for the length of one search call;
 termination needs no loop check because every premise of every rule has
 strictly smaller total complexity (weakening steps must delete a non-empty
 block).  A goal that one of 64 fixed integer valuations refutes fails at
-once, before any rule is tried.
+once, before any rule is tried.  They are evaluated by `lg_oracle.lanes`,
+the package's one evaluator in the integers, in Z or, for irl, in the
+negative cone of Z; `clear_caches()` here empties its cache, as
+`lg_oracle.clear_caches()` does.
 
 Two formulations of the oracle-weakening rule are implemented:
 
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
@@ -45,7 +47,6 @@ from .terms import (
     Sequent,
     Term,
     Theory,
-    Var,
     _parse_sequent,
     check_sequent_for_theory,
     clear_table,
@@ -850,60 +851,14 @@ def _alts_ca(goal, ctx: _Ctx):
 # failing subtree: the proof found is the same.
 
 
-@lru_cache(maxsize=65536)
-def _lanes(t: Term, cone: bool) -> tuple[int, int] | None:
-    """t's value under each valuation of the bank, packed as in `lg_oracle`,
-    in Z or in its negative cone, with a bound on the absolute value; None
-    when a lane could leave its field."""
-    cls = type(t)
-    if cls is Var:
-        lanes = lg_oracle._var_lanes(t.name)
-        if cone:  # the bank's value v becomes -|v|
-            neg = 2 * lg_oracle._BIASES - lanes
-            lanes ^= (lanes ^ neg) & lg_oracle._ge_mask(lanes, neg)
-        return lanes, lg_oracle._BANK_RANGE
-    if cls is ConstE or cls is ConstF:
-        return lg_oracle._BIASES, 0
-    left, right = _lanes(t.l, cone), _lanes(t.r, cone)
-    if left is None or right is None:
-        return None
-    (a, bound_a), (b, bound_b) = left, right
-    if cls is Meet or cls is Join:
-        pick = (a ^ b) & lg_oracle._ge_mask(a, b)
-        return (a ^ pick if cls is Meet else b ^ pick), max(bound_a, bound_b)
-    bound = bound_a + bound_b
-    if bound > lg_oracle._LIMIT:
-        return None
-    if cls is Fuse:
-        return a + b - lg_oracle._BIASES, bound
-    lanes = (b - a if cls is LDiv else a - b) + lg_oracle._BIASES
-    if cone:  # min(0, lanes)
-        lanes ^= (lanes ^ lg_oracle._BIASES) & lg_oracle._ge_mask(lanes, lg_oracle._BIASES)
-    return lanes, bound
-
-
 def _refuted(goal, cone: bool) -> bool:
-    """True if a valuation of the bank makes the goal L => R false: the sum
-    of L's values exceeds that of R's (an empty side sums to e = f = 0).
-    False proves nothing; it is also the answer when the total could leave
-    the lane field."""
-    L, R = goal
-    total = lg_oracle._BIASES * (1 + len(R) - len(L))
-    bound = 0
-    for sign, side in ((1, L), (-1, R)):
-        for t in side:
-            hit = _lanes(t, cone)
-            if hit is None:
-                return False
-            total += sign * hit[0]
-            bound += hit[1]
-    if bound > lg_oracle._LIMIT:
-        return False
-    return lg_oracle._ge_mask(total, lg_oracle._POSITIVE) != 0
+    """True if a valuation of the bank makes the goal L => R false in Z or,
+    with `cone`, in its negative cone.  False proves nothing."""
+    return lg_oracle.refuting_lanes(goal, cone) != 0
 
 
 def clear_caches():
-    _lanes.cache_clear()
+    lg_oracle.lanes.cache_clear()
     clear_table()  # the terms' intern table
 
 

@@ -8,14 +8,12 @@ from icrl.ablg_oracle import (
     abelianize,
     ablg_valid_leq_e,
     ablg_valid_sequent,
-    eval_int,
-    find_integer_refutation,
     strict_infeasible,
 )
 from icrl import ablg_oracle, lg_oracle
 from icrl.corpus import gen_sequent, gen_term
 from icrl.terms import Sequent, Theory, Var, parse_sequent, parse_term
-from tests_helpers_oracles import gordan_infeasible, linear_form_of_word
+from tests_helpers_oracles import eval_int, gordan_infeasible, linear_form_of_word, to_gnf
 
 x, y = Var("x"), Var("y")
 
@@ -52,7 +50,7 @@ def test_ablg_valid_sequent_examples():
     assert ablg_valid_sequent(parse_sequent("x /\\ y => x", Theory.CICRL)) is True
     s = parse_sequent("x \\/ y => x", Theory.CICRL)
     assert ablg_valid_sequent(s) is False
-    val = find_integer_refutation(s)
+    val = lg_oracle.refuting_valuation((s.left, s.right))
     assert val is not None
     assert max(val["x"], val["y"]) > val["x"]
 
@@ -71,7 +69,7 @@ def test_abelianize_is_the_collapsed_group_normal_form():
     rng = random.Random(4242)
     for _ in range(200):
         t = gen_term(rng, num_vars=3, depth=rng.randint(1, 4))
-        words = lg_oracle.to_gnf(t).meetands_by_joinand
+        words = to_gnf(t).meetands_by_joinand
         collapsed = lg_oracle._absorb(
             frozenset(frozenset(linear_form_of_word(w) for w in block) for block in words)
         )
@@ -109,7 +107,7 @@ def test_grid_agreement_one_directional():
     for _ in range(200):
         s = gen_sequent(rng, num_vars=3, depth=2, max_left=2)
         valid = ablg_valid_sequent(s)
-        val = find_integer_refutation(s)
+        val = lg_oracle.refuting_valuation((s.left, s.right))
         if valid:
             assert val is None, f"oracle says valid but grid refutes: {s} at {val}"
         elif val is not None:

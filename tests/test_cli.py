@@ -8,8 +8,9 @@ from icrl import lg_oracle
 from icrl.cli import run
 from icrl.finmod import algebra_to_dict
 from icrl.prover import proof_from_json
-from icrl.terms import MAX_TERM_DEPTH, Theory, print_term
+from icrl.terms import MAX_TERM_DEPTH, Theory, parse_term, print_term
 from test_terms import depth_chains
+from tests_helpers_oracles import eval_int
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +78,25 @@ def test_oracle_cli(capsys):
     code, out, _ = run_cli(capsys, "oracle", "ablg", "x \\/ y => x")
     assert code == 1
     assert "x = " in out
+    # the reported valuation refutes the query in Z: the left side exceeds the right
+    cases = (("lg", "x <= e", "x", "e"), ("ablg", "x \\/ y => x", "x \\/ y", "x"))
+    for oracle, query, left, right in cases:
+        code, out, _ = run_cli(capsys, "oracle", oracle, "--format", "json", query)
+        assert code == 1
+        val = json.loads(out)["refuting_valuation"]
+        left_value, right_value = (eval_int(parse_term(text, Theory.CA), val) for text in (left, right))
+        assert left_value > right_value, (query, val)
+
+
+def test_oracle_cli_reports_a_non_abelian_instance_without_a_grid_search():
+    # lg-INVALID but valid in Z, so no valuation refutes it; a search of the
+    # 7**10 points of [-3, 3]**10 would not finish within the timeout
+    names = [f"x{i}" for i in range(10)]
+    query = " * ".join(names) + " <= " + " * ".join(reversed(names))
+    cmd = [sys.executable, "-m", "icrl.cli", "oracle", "lg", query]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "INVALID" in proc.stdout and "non-abelian" in proc.stdout
 
 
 def test_finmod_cli(tmp_path, capsys):

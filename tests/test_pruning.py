@@ -10,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from icrl import ablg_oracle, lg_oracle, prover
+from icrl import lg_oracle, prover
 from icrl.corpus import gen_sequent, gen_term
 from icrl.prover import proof_from_json, proof_to_json, search, search_lgw_explicit
 from icrl.terms import (
-    E, Fuse, Join, LDiv, Meet, RDiv, Theory, Var, parse_sequent, variables,
+    ConstF, E, Fuse, Join, LDiv, Meet, RDiv, Theory, Var, parse_sequent, subterms, variables,
 )
+from tests_helpers_oracles import eval_int
 
 GOLDEN = Path(__file__).with_name("golden_proofs.json")
 
@@ -111,8 +112,9 @@ def test_lanes_match_scalar_evaluation_on_every_lane():
     rng = random.Random("pruning-lanes")
     for _ in range(1500):
         t = gen_term(rng, num_vars=rng.randint(1, 3), depth=rng.randint(1, 6), pointed=True)
-        for cone, scalar in ((False, ablg_oracle.eval_int), (True, _cone_value)):
-            lanes, bound = prover._lanes(t, cone)
+        for cone, scalar in ((False, eval_int), (True, _cone_value)):
+            lanes, bound, pointed = lg_oracle.lanes(t, cone)
+            assert pointed is any(type(sub) is ConstF for sub in subterms(t))
             expected = [scalar(t, v) for v in _valuations(t, cone)]
             assert _unpack(lanes) == expected, (t, cone)
             assert max(map(abs, expected)) <= bound
@@ -130,12 +132,12 @@ def _doubled(t, times):
 @pytest.mark.parametrize("cone", [False, True])
 def test_lanes_stand_aside_past_the_field(cone):
     t = Meet(x, LDiv(x, E))  # min(x, -x): -|x| in Z and in the cone alike
-    lanes, bound = prover._lanes(_doubled(t, 13), cone)
+    lanes, bound, _ = lg_oracle.lanes(_doubled(t, 13), cone)
     assert bound == 3 * 2**13
     assert _unpack(lanes) == [2**13 * -abs(v) for v in lg_oracle._bank_values("x")]
     # 3 * 2**14 exceeds the 16-bit field, and so does a goal whose total could
-    assert prover._lanes(_doubled(t, 14), cone) is None
-    assert prover._lanes(RDiv(E, _doubled(t, 14)), cone) is None
+    assert lg_oracle.lanes(_doubled(t, 14), cone) is None
+    assert lg_oracle.lanes(RDiv(E, _doubled(t, 14)), cone) is None
     positive = _doubled(Join(x, E), 13)  # 2**13 max(x, 0), positive on some lanes of Z
     assert prover._refuted(((positive,), (E,)), False)
     assert not prover._refuted(((positive, positive), (E,)), False)

@@ -1,6 +1,6 @@
 """Structural checks on the package source: no dead module-level names or
-class members, no line over 100 columns, and every rule of every theory in
-exactly one rule family."""
+class members, no import left unread, no line over 100 columns, and every
+rule of every theory in exactly one rule family."""
 
 import ast
 from pathlib import Path
@@ -80,6 +80,25 @@ def test_every_method_and_property_is_used():
         )
     ]
     assert not dead
+
+
+def test_every_import_is_read():
+    # __init__.py imports to re-export; every other module imports to use
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread += [f"{path.name}: {name}" for name in names if name not in read]
+    assert not unread
 
 
 def test_no_source_line_over_100_columns():

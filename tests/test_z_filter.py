@@ -13,6 +13,7 @@ from icrl import ablg_oracle, lg_oracle
 from icrl.corpus import gen_term
 from icrl.lg_oracle import GnfSizeError, z_refutes
 from icrl.terms import E, Fuse, Join, Meet, Theory, Var, parse_term, product_term, variables
+from tests_helpers_oracles import eval_int, to_gnf
 
 x = Var("x")
 
@@ -30,9 +31,14 @@ def test_kernel_matches_scalar_evaluation_on_every_lane():
         t = gen_term(rng, num_vars=rng.randint(1, 3), depth=rng.randint(1, 6))
         valuations = _lane_valuations(t)
         assert len(valuations) == 64 or not valuations
-        expected = any(ablg_oracle.eval_int(t, v) > 0 for v in valuations)
+        expected = any(eval_int(t, v) > 0 for v in valuations)
         assert z_refutes(t) is expected, t
         refuted += expected
+        # the decoder names one of the bank's refuting valuations, or none
+        decoded = lg_oracle.refuting_valuation(((t,), ()))
+        assert (decoded is None) is not expected, t
+        if decoded is not None:
+            assert decoded in valuations and eval_int(t, decoded) > 0, (t, decoded)
     assert 0 < refuted < 2000
 
 
@@ -45,7 +51,7 @@ def test_refuted_terms_are_invalid_for_the_normal_form_procedures():
         t = gen_term(rng, num_vars=rng.randint(1, 3), depth=rng.randint(1, 4))
         if not z_refutes(t):
             continue
-        blocks = lg_oracle.to_gnf(t).meetands_by_joinand
+        blocks = to_gnf(t).meetands_by_joinand
         assert not all(lg_oracle.semigroup_contains_identity(frozenset(b)) for b in blocks), t
         assert not all(
             ablg_oracle.strict_infeasible(ablg_oracle.StrictSystem(b)) for b in ablg_oracle.abelianize(t)

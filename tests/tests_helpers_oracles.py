@@ -1,9 +1,49 @@
-"""Independent cross-checks for the oracle tests."""
+"""Independent cross-checks and scalar references for the oracle tests."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from icrl.ablg_oracle import LinearForm, StrictSystem
-from icrl.lg_oracle import concat_words
+from icrl.lg_oracle import GroupWord, _to_jom, concat_words
+from icrl.terms import ConstE, ConstF, Fuse, Join, LDiv, Meet, RDiv, Term, Var
+
+
+def eval_int(t: Term, valuation: dict[str, int]) -> int:
+    """Scalar evaluation in the l-group of integers, with f = e = 0: meet =
+    min, join = max, fusion = +; the reference for `lg_oracle.lanes`."""
+    if isinstance(t, Var):
+        return valuation[t.name]
+    if isinstance(t, (ConstE, ConstF)):
+        return 0
+    a, b = eval_int(t.l, valuation), eval_int(t.r, valuation)
+    if isinstance(t, Meet):
+        return min(a, b)
+    if isinstance(t, Join):
+        return max(a, b)
+    if isinstance(t, Fuse):
+        return a + b
+    if isinstance(t, LDiv):
+        return b - a
+    if isinstance(t, RDiv):
+        return a - b
+    raise TypeError(f"not a term: {t!r}")
+
+
+@dataclass(frozen=True)
+class GroupNormalForm:
+    """Join of meets of group words: joinands outer, meetands inner."""
+
+    meetands_by_joinand: tuple[tuple[GroupWord, ...], ...]
+
+    def __post_init__(self):
+        assert self.meetands_by_joinand, "a normal form has at least one joinand"
+        assert all(block for block in self.meetands_by_joinand)
+
+
+def to_gnf(t: Term) -> GroupNormalForm:
+    """Join-of-meets of group words equal to t in every l-group, sorted."""
+    jom = _to_jom(t)
+    return GroupNormalForm(tuple(sorted(tuple(sorted(m)) for m in jom)))
 
 
 def rounds_identity_oracle(gens) -> bool:

@@ -20,6 +20,7 @@ evaluates a term under a fixed bank of 64 valuations at once, in Z or in its
 negative cone, and `refuting_lanes` sums a goal's sides with it.  Before any
 normal form, `z_refutes` asks them about the term, once per term (cached); Z
 is an abelian l-group, so a positive value refutes t <= e for both oracles.
+It refuses a term with f first, from the term's signature bits.
 Search prunes its goals with the same evaluator (`prover._refuted`), and
 `icrl oracle` reports the first refuting valuation (`refuting_valuation`).
 `clear_caches()` here and `prover.clear_caches()` both empty its cache.
@@ -32,7 +33,8 @@ import zlib
 from functools import lru_cache
 
 from .terms import (
-    ConstE, ConstF, E, Fuse, Join, LDiv, Meet, RDiv, Sequent, Term, Var, product_term, variables,
+    HAS_F, ConstE, ConstF, E, Fuse, Join, LDiv, Meet, RDiv, Sequent, Term, Var, product_term,
+    variables,
 )
 
 # A group word is a freely reduced tuple of (variable, sign) letters;
@@ -239,15 +241,14 @@ def _ge_mask(a: int, b: int) -> int:
 
 
 @lru_cache(maxsize=65536)
-def lanes(t: Term, cone: bool) -> tuple[int, int, bool] | None:
+def lanes(t: Term, cone: bool) -> tuple[int, int] | None:
     """t's value under each valuation of the bank, packed, with f = e = 0:
     in Z (meet = min, join = max, fusion = +, residuals = differences) or,
     with `cone`, in its negative cone, where a variable's value v becomes
     -|v| and x \\ y = y / x = min(0, y - x).
 
-    Returns the lanes, a bound on every lane's absolute value, and whether t
-    contains f; None when a lane could leave its 16-bit field, so no lane
-    ever wraps.
+    Returns the lanes and a bound on every lane's absolute value; None when
+    a lane could leave its 16-bit field, so no lane ever wraps.
     """
     cls = type(t)
     if cls is Var:
@@ -255,28 +256,25 @@ def lanes(t: Term, cone: bool) -> tuple[int, int, bool] | None:
         if cone:
             neg = 2 * _BIASES - packed
             packed ^= (packed ^ neg) & _ge_mask(packed, neg)
-        return packed, _BANK_RANGE, False
-    if cls is ConstE:
-        return _BIASES, 0, False
-    if cls is ConstF:
-        return _BIASES, 0, True
+        return packed, _BANK_RANGE
+    if cls is ConstE or cls is ConstF:
+        return _BIASES, 0
     left, right = lanes(t.l, cone), lanes(t.r, cone)
     if left is None or right is None:
         return None
-    (a, bound_a, pointed_a), (b, bound_b, pointed_b) = left, right
-    pointed = pointed_a or pointed_b
+    (a, bound_a), (b, bound_b) = left, right
     if cls is Meet or cls is Join:
         pick = (a ^ b) & _ge_mask(a, b)
-        return (a ^ pick if cls is Meet else b ^ pick), max(bound_a, bound_b), pointed
+        return (a ^ pick if cls is Meet else b ^ pick), max(bound_a, bound_b)
     bound = bound_a + bound_b
     if bound > _LIMIT:
         return None
     if cls is Fuse:
-        return a + b - _BIASES, bound, pointed
+        return a + b - _BIASES, bound
     packed = (b - a if cls is LDiv else a - b) + _BIASES
     if cone:  # min(0, packed)
         packed ^= (packed ^ _BIASES) & _ge_mask(packed, _BIASES)
-    return packed, bound, pointed
+    return packed, bound
 
 
 # A goal L => R of search, or a sequent's two sides.
@@ -319,12 +317,11 @@ def z_refutes(t: Term) -> bool:
     """True if some valuation of the bank makes t > 0 in Z.
 
     Then t <= e fails in Z, hence in every l-group and every abelian
-    l-group.  False proves nothing.  A term containing f raises ValueError,
-    as the oracles do, unless the evaluator stands aside on it (then False,
-    and the normal forms raise).
+    l-group.  False proves nothing.  A term containing f raises ValueError
+    from its signature bits, before any lane is evaluated; both oracles ask
+    this first, so they refuse it before any normal form too.
     """
-    hit = lanes(t, False)
-    if hit is not None and hit[2]:  # t contains f
+    if t._sig & HAS_F:
         raise ValueError("pointed term: replace f by e before calling a group oracle")
     return refuting_lanes(((t,), ()), False) != 0
 

@@ -47,10 +47,10 @@ from .terms import (
     Sequent,
     Term,
     Theory,
-    _parse_sequent,
     check_sequent_for_theory,
     clear_table,
     normalize_for_theory,
+    parse_sequent,
     print_sequent,
     print_term,
 )
@@ -275,12 +275,8 @@ def _write_proof(p: Proof, nl: str, out: list[str]):
 
 
 def proof_from_dict(d: dict, theory: Theory) -> Proof:
-    return _proof_from_dict(d, theory, {})
-
-
-def _proof_from_dict(d: dict, theory: Theory, memo: dict) -> Proof:
-    """proof_from_dict, parsing each distinct formula of the proof once: memo
-    maps a formula's tokens to its term."""
+    """The proof d describes.  Its sequents are read by `parse_sequent`, whose
+    formula table lexes each distinct formula text once per session."""
     if not isinstance(d, dict):
         raise ValueError("malformed proof node: expected an object")
     try:
@@ -298,11 +294,11 @@ def _proof_from_dict(d: dict, theory: Theory, memo: dict) -> Proof:
         typed = isinstance(sequents, list) and all(isinstance(s, str) for s in sequents)
         if not (typed and isinstance(c.get("oracle"), str)):
             raise ValueError("malformed certificate: expected an oracle name and sequent strings")
-        certs = tuple(Certificate(c["oracle"], _parse_sequent(s, theory, memo)) for s in sequents)
+        certs = tuple(Certificate(c["oracle"], parse_sequent(s, theory)) for s in sequents)
     return Proof(
-        conclusion=_parse_sequent(conclusion, theory, memo),
+        conclusion=parse_sequent(conclusion, theory),
         rule=rule,
-        premises=tuple(_proof_from_dict(q, theory, memo) for q in premises),
+        premises=tuple(proof_from_dict(q, theory) for q in premises),
         certificates=certs,
     )
 
@@ -859,7 +855,7 @@ def _refuted(goal, cone: bool) -> bool:
 
 def clear_caches():
     lg_oracle.lanes.cache_clear()
-    clear_table()  # the terms' intern table
+    clear_table()  # the terms' intern and formula tables
 
 
 def _prove(goal, ctx: _Ctx, depth: int):

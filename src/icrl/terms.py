@@ -17,6 +17,18 @@ ASCII grammar, tightest-binding first:
 
 Sequents are written  t1, t2, ... => u  with a comma-separated right side in
 multiple-conclusion mode; either side may be empty there.
+
+Facts about a term are stored on it once, at construction.  Terms are
+interned, so equal terms are normally one object, and each term holds its
+signature bits `_sig`: the union over its subterms of HAS_F (the constant
+f), HAS_LATTICE (meet or join), HAS_FUSE and HAS_RDIV (the right residual).
+The signature check, the f-to-e substitution, ca's residual normalization
+and the group oracles' refusal of f read them instead of walking the term.
+`parse_sequent` keeps a formula table per theory, from the stripped text of
+each formula of an accepted sequent to its term, and answers from it when
+every formula of a sequent is there.  The formula tables are emptied with
+the intern table: when it reaches INTERN_CAP entries, and by
+`clear_table()`.
 """
 
 from __future__ import annotations
@@ -47,14 +59,24 @@ class Term:
 _TABLE: dict = {}
 INTERN_CAP = 1 << 16  # as many as each lru cache of the package holds
 
+# parse_sequent's formula tables, one per theory, emptied with the intern
+# table so that no entry outlives the interning of its term.
+_FORMULAS: dict = {}
+
+# The signature bits (see the module docstring); e, variables and the left
+# residual set none.
+HAS_F, HAS_LATTICE, HAS_FUSE, HAS_RDIV = 1, 2, 4, 8
+
 
 def clear_table():
     _TABLE.clear()
+    _FORMULAS.clear()
 
 
 @dataclass(frozen=True, slots=True, init=False)
 class Var(Term):
     name: str
+    _sig: ClassVar[int] = 0
 
     def __new__(cls, name: str):
         t = _TABLE.get(name)
@@ -62,7 +84,7 @@ class Var(Term):
             t = _new(cls)
             _set_name(t, name)
             if len(_TABLE) >= INTERN_CAP:
-                _TABLE.clear()
+                clear_table()
             t = _TABLE.setdefault(name, t)
         return t
 
@@ -72,12 +94,16 @@ class Var(Term):
 
 @dataclass(frozen=True, slots=True, init=False)
 class ConstE(Term):
+    _sig: ClassVar[int] = 0
+
     def __new__(cls):
         return E
 
 
 @dataclass(frozen=True, slots=True, init=False)
 class ConstF(Term):
+    _sig: ClassVar[int] = HAS_F
+
     def __new__(cls):
         return F
 
@@ -91,12 +117,15 @@ class _Binary(Term):
     """A binary connective.  Its hash is hash((tag, l, r)), with the class's
     own tag, so connectives over the same children hash apart.  It is
     computed once at construction from the children's stored hashes: hashing
-    a term is O(1) and never recurses, however deep the term."""
+    a term is O(1) and never recurses, however deep the term.  Its signature
+    bits, the children's and the class's own, are stored beside it."""
 
     l: Term
     r: Term
     _h: int = field(repr=False, compare=False)
+    _sig: int = field(repr=False, compare=False)
     _tag: ClassVar[int] = 0
+    _bit: ClassVar[int] = 0
 
     def __new__(cls, l: Term, r: Term):
         key = (cls, id(l), id(r))
@@ -106,8 +135,9 @@ class _Binary(Term):
             _set_l(t, l)
             _set_r(t, r)
             _set_h(t, hash((cls._tag, l, r)))
+            _set_sig(t, l._sig | r._sig | cls._bit)
             if len(_TABLE) >= INTERN_CAP:
-                _TABLE.clear()
+                clear_table()
             t = _TABLE.setdefault(key, t)
         return t
 
@@ -161,7 +191,8 @@ class _Binary(Term):
 # dataclass's own __setattr__ refuses.
 _new = object.__new__
 _set_name = Var.name.__set__
-_set_l, _set_r, _set_h = _Binary.l.__set__, _Binary.r.__set__, _Binary._h.__set__
+_set_l, _set_r = _Binary.l.__set__, _Binary.r.__set__
+_set_h, _set_sig = _Binary._h.__set__, _Binary._sig.__set__
 
 
 # Plain subclasses: @dataclass on a subclass would replace the stored hash
@@ -171,16 +202,19 @@ _set_l, _set_r, _set_h = _Binary.l.__set__, _Binary.r.__set__, _Binary._h.__set_
 class Meet(_Binary):
     __slots__ = ()
     _tag = 1
+    _bit = HAS_LATTICE
 
 
 class Join(_Binary):
     __slots__ = ()
     _tag = 2
+    _bit = HAS_LATTICE
 
 
 class Fuse(_Binary):
     __slots__ = ()
     _tag = 3
+    _bit = HAS_FUSE
 
 
 class LDiv(_Binary):
@@ -195,6 +229,7 @@ class RDiv(_Binary):
 
     __slots__ = ()
     _tag = 5
+    _bit = HAS_RDIV
 
 
 # The constants are built once; their constructors return these.
@@ -267,10 +302,6 @@ class Sequent:
 
     left: tuple[Term, ...]
     right: tuple[Term, ...]
-
-    def __post_init__(self):
-        assert all(isinstance(t, Term) for t in self.left)
-        assert all(isinstance(t, Term) for t in self.right)
 
 
 class ParseError(ValueError):
@@ -469,36 +500,47 @@ def parse_term(text: str, theory: Theory = Theory.ICRL) -> Term:
 
 
 def parse_sequent(text: str, theory: Theory = Theory.ICRL) -> Sequent:
-    """Parse 't1, ..., tn => u' (or a comma-separated right side in ca mode)."""
-    return _parse_sequent(text, theory, None)
+    """Parse 't1, ..., tn => u' (or a comma-separated right side in ca mode).
+
+    The text is split at its one '=>' and at commas.  When the theory's
+    formula table holds every piece, stripped, the sequent is built from it
+    without lexing.  Otherwise the parser reads the whole text and, when it
+    accepts it with one term per piece, enters each piece.  The parser is
+    the table's only writer, so a text is answered from the table only when
+    the parser would accept it, with the same terms."""
+    table = _FORMULAS.setdefault(theory, {})
+    sides = text.split("=>")
+    if len(sides) != 2:
+        return _parse_sequent(text, theory)
+    head, tail = sides
+    left = [p.strip() for p in head.split(",")] if head.strip() else []
+    right = [p.strip() for p in tail.split(",")] if tail.strip() else []
+    if len(right) == 1 or theory.multiple_conclusion:
+        try:
+            return Sequent(tuple([table[p] for p in left]), tuple([table[p] for p in right]))
+        except KeyError:
+            pass
+    s = _parse_sequent(text, theory)
+    # if the tables were emptied during the parse, `table` is detached, so
+    # the result's terms, some built before the emptying, reach no table in use
+    if len(s.left) == len(left) and len(s.right) == len(right):
+        if len(table) >= INTERN_CAP:  # spacing variants of a text add no terms
+            table.clear()
+        table.update(zip(left, s.left))
+        table.update(zip(right, s.right))
+    return s
 
 
-def _parse_sequent(text: str, theory: Theory, memo: dict | None) -> Sequent:
-    """parse_sequent, taking each formula from `memo` (tokens -> term, for one
-    theory) when it is there and adding it when it is not."""
-
-    def formula(p: _Parser) -> Term:
-        if memo is None:
-            return normalize_for_theory(p.formula(), theory)
-        end = p.i
-        while p.toks[end] not in (",", "=>", ""):
-            end += 1
-        key = tuple(p.toks[p.i : end])
-        if key not in memo:
-            t = normalize_for_theory(p.formula(), theory)
-            if p.i != end:  # the term is not all of those tokens
-                return t
-            memo[key] = t
-        p.i = end
-        return memo[key]
+def _parse_sequent(text: str, theory: Theory) -> Sequent:
+    """The parser's reading of a sequent text."""
 
     def side(p: _Parser) -> tuple[Term, ...]:
         if p.toks[p.i] in ("=>", ""):
             return ()
-        terms = [formula(p)]
+        terms = [normalize_for_theory(p.formula(), theory)]
         while p.toks[p.i] == ",":
             p.i += 1
-            terms.append(formula(p))
+            terms.append(normalize_for_theory(p.formula(), theory))
         return tuple(terms)
 
     def sequent(p: _Parser):
@@ -628,23 +670,20 @@ def double_neg(t: Term) -> Term:
 
 def subst_f_to_e(t: Term) -> Term:
     """t with f replaced by e; subterms without f are shared, not copied."""
-    if isinstance(t, ConstF):
+    if not t._sig & HAS_F:
+        return t
+    if t is F:
         return E
-    if isinstance(t, _Binary):
-        l, r = subst_f_to_e(t.l), subst_f_to_e(t.r)
-        return t if l is t.l and r is t.r else type(t)(l, r)
-    return t
+    return type(t)(subst_f_to_e(t.l), subst_f_to_e(t.r))
 
 
 def normalize_for_theory(t: Term, theory: Theory) -> Term:
     """In the ca mode both residuals collapse to the arrow; store l \\ r only."""
-    if theory is not Theory.CA:
+    if theory is not Theory.CA or not t._sig & HAS_RDIV:
         return t
     if isinstance(t, RDiv):
         return LDiv(normalize_for_theory(t.r, theory), normalize_for_theory(t.l, theory))
-    if isinstance(t, _Binary):
-        return type(t)(normalize_for_theory(t.l, theory), normalize_for_theory(t.r, theory))
-    return t
+    return type(t)(normalize_for_theory(t.l, theory), normalize_for_theory(t.r, theory))
 
 
 def product_term(terms) -> Term:
@@ -658,8 +697,20 @@ def product_term(terms) -> Term:
     return out
 
 
+# The signature bits each theory forbids.
+_FORBIDDEN = {
+    th: (0 if th.pointed else HAS_F)
+    | (0 if th.has_lattice_ops else HAS_LATTICE)
+    | (0 if th.has_fuse else HAS_FUSE)
+    for th in Theory
+}
+
+
 def check_term_for_theory(t: Term, theory: Theory):
-    """Raise ValueError when t uses connectives outside the theory's signature."""
+    """Raise ValueError when t uses connectives outside the theory's signature.
+    Its bits tell whether it does; the walk finds the first such subterm."""
+    if not t._sig & _FORBIDDEN[theory]:
+        return
     for sub in subterms(t):
         if isinstance(sub, ConstF) and not theory.pointed:
             raise ValueError(f"constant f not allowed in theory {theory.value}")

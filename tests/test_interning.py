@@ -15,6 +15,10 @@ from icrl import prover, terms
 from icrl.corpus import gen_term
 from icrl.prover import check_proof, proof_from_json, proof_to_json, search
 from icrl.terms import (
+    HAS_F,
+    HAS_FUSE,
+    HAS_LATTICE,
+    HAS_RDIV,
     MAX_TERM_DEPTH,
     E,
     F,
@@ -77,10 +81,13 @@ def test_copy_deepcopy_and_pickle_return_the_interned_term(roundtrip):
     assert sum(1 for _ in subterms(t)) == 2 * MAX_TERM_DEPTH - 1
     for u in (t, t.l, Var("z"), E, F):
         assert roundtrip(u) is u
-    # across an emptying of the table the copy is equal, not identical
+    # across an emptying of the table the copy is equal, not identical, and
+    # keeps the signature bits of every subterm
     prover.clear_caches()
     u = roundtrip(t)
-    assert u == t and hash(u) == hash(t)
+    assert u == t and hash(u) == hash(t) and u is not t
+    assert [a._sig for a in subterms(u)] == [b._sig for b in subterms(t)]
+    assert u._sig == HAS_F | HAS_LATTICE | HAS_FUSE | HAS_RDIV
 
 
 def test_terms_from_before_an_emptying_equal_their_twins():

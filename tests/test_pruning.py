@@ -14,7 +14,7 @@ from icrl import lg_oracle, prover
 from icrl.corpus import gen_sequent, gen_term
 from icrl.prover import proof_from_json, proof_to_json, search, search_lgw_explicit
 from icrl.terms import (
-    ConstF, E, Fuse, Join, LDiv, Meet, RDiv, Theory, Var, parse_sequent, subterms, variables,
+    HAS_F, ConstF, E, Fuse, Join, LDiv, Meet, RDiv, Theory, Var, parse_sequent, subterms, variables,
 )
 from tests_helpers_oracles import eval_int
 
@@ -113,8 +113,8 @@ def test_lanes_match_scalar_evaluation_on_every_lane():
     for _ in range(1500):
         t = gen_term(rng, num_vars=rng.randint(1, 3), depth=rng.randint(1, 6), pointed=True)
         for cone, scalar in ((False, eval_int), (True, _cone_value)):
-            lanes, bound, pointed = lg_oracle.lanes(t, cone)
-            assert pointed is any(type(sub) is ConstF for sub in subterms(t))
+            lanes, bound = lg_oracle.lanes(t, cone)
+            assert bool(t._sig & HAS_F) is any(type(sub) is ConstF for sub in subterms(t))
             expected = [scalar(t, v) for v in _valuations(t, cone)]
             assert _unpack(lanes) == expected, (t, cone)
             assert max(map(abs, expected)) <= bound
@@ -132,7 +132,7 @@ def _doubled(t, times):
 @pytest.mark.parametrize("cone", [False, True])
 def test_lanes_stand_aside_past_the_field(cone):
     t = Meet(x, LDiv(x, E))  # min(x, -x): -|x| in Z and in the cone alike
-    lanes, bound, _ = lg_oracle.lanes(_doubled(t, 13), cone)
+    lanes, bound = lg_oracle.lanes(_doubled(t, 13), cone)
     assert bound == 3 * 2**13
     assert _unpack(lanes) == [2**13 * -abs(v) for v in lg_oracle._bank_values("x")]
     # 3 * 2**14 exceeds the 16-bit field, and so does a goal whose total could

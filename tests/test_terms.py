@@ -7,6 +7,10 @@ import pytest
 from icrl import prover
 from icrl.corpus import gen_term
 from icrl.terms import (
+    HAS_F,
+    HAS_FUSE,
+    HAS_LATTICE,
+    HAS_RDIV,
     MAX_TERM_DEPTH,
     normalize_for_theory,
     E,
@@ -21,6 +25,7 @@ from icrl.terms import (
     Sequent,
     Theory,
     Var,
+    check_term_for_theory,
     complexity,
     double_neg,
     neg_translation,
@@ -269,6 +274,58 @@ def test_subst_f_to_e_shares_f_free_subterms():
     out = subst_f_to_e(t)
     assert out == Meet(free, LDiv(x, E))
     assert out.l is free
+
+
+def _walked_bits(t):
+    bits = 0
+    for sub in subterms(t):
+        if isinstance(sub, ConstF):
+            bits |= HAS_F
+        elif isinstance(sub, (Meet, Join)):
+            bits |= HAS_LATTICE
+        elif isinstance(sub, Fuse):
+            bits |= HAS_FUSE
+        elif isinstance(sub, RDiv):
+            bits |= HAS_RDIV
+    return bits
+
+
+def _walked_check(t, theory):
+    """The message of the check as a walk over every subterm gives it, or None."""
+    for sub in subterms(t):
+        if isinstance(sub, ConstF) and not theory.pointed:
+            return f"constant f not allowed in theory {theory.value}"
+        if isinstance(sub, (Meet, Join)) and not theory.has_lattice_ops:
+            return f"lattice connectives not allowed in theory {theory.value}"
+        if isinstance(sub, Fuse) and not theory.has_fuse:
+            return f"fusion not allowed in theory {theory.value}"
+    return None
+
+
+def test_signature_bits_are_what_a_walk_finds():
+    rng = random.Random("signature-bits")
+    signatures = [(a, b, c) for a in (False, True) for b in (False, True) for c in (False, True)]
+    refused = 0
+    for k in range(2000):
+        lattice, fuse, pointed = signatures[k % len(signatures)]
+        t = gen_term(
+            rng, num_vars=rng.randint(1, 3), depth=rng.randint(0, 6),
+            lattice=lattice, fuse=fuse, pointed=pointed,
+        )
+        assert t._sig == _walked_bits(t), t
+        for th in Theory:
+            try:
+                check_term_for_theory(t, th)
+                message = None
+            except ValueError as e:
+                message = str(e)
+            assert message == _walked_check(t, th), (t, th)
+            refused += message is not None
+        # the readers of the bits
+        assert subst_f_to_e(t)._sig == t._sig & ~HAS_F
+        ca = normalize_for_theory(t, Theory.CA)
+        assert ca._sig == t._sig & ~HAS_RDIV and (ca is t) is not bool(t._sig & HAS_RDIV)
+    assert 2000 < refused < 2000 * len(Theory)
 
 
 def _doubled(t, times):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,7 +13,7 @@ import icrl
 from icrl import ablg_oracle, lg_oracle
 from icrl.corpus import gen_term
 from icrl.lg_oracle import GnfSizeError, z_refutes
-from icrl.terms import E, Fuse, Join, Meet, Theory, Var, parse_term, product_term, variables
+from icrl.terms import E, F, Fuse, Join, Meet, Theory, Var, parse_term, product_term, variables
 from tests_helpers_oracles import eval_int, to_gnf
 
 x = Var("x")
@@ -118,6 +119,18 @@ def test_doubling_past_the_lane_field_is_not_refuted_and_never_wraps():
     assert all(z_refutes(_doubled(positive, times)) for times in range(12))
     # 3 * 2**14 exceeds the 16-bit field: the filter stands aside
     assert z_refutes(_doubled(positive, 14)) is False
+
+
+@pytest.mark.parametrize("oracle", [z_refutes, lg_oracle.lg_valid_leq_e, ablg_oracle.ablg_valid_leq_e])
+def test_pointed_input_past_the_lane_field_raises_at_once(oracle):
+    # the evaluator stands aside on the doubled operand, and distributing it
+    # takes minutes: f must be refused before either is tried
+    t = Fuse(_doubled(Join(x, E), 14), F)
+    lg_oracle.clear_caches()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="pointed term"):
+        oracle(t)
+    assert time.perf_counter() - start < 1.0
 
 
 _BANK_VALUES = """

@@ -56,6 +56,8 @@ def cmd_prove(args) -> int:
         "max_depth": out.max_depth,
         "lines": [f"{verdict}: {print_sequent(s)} [{th.value}]"],
     }
+    if not out.derivable and th is not Theory.IRL:  # Z is a model of every other theory
+        _add_refutation(payload, s)
     if out.derivable and args.emit_proof:
         with open(args.emit_proof, "w", encoding="utf-8") as fh:
             fh.write(prover.proof_to_json(out.proof))
@@ -98,6 +100,20 @@ def cmd_elimcut(args) -> int:
     return AFFIRMATIVE
 
 
+def _add_refutation(payload: dict, s: Sequent) -> bool:
+    """Add the Z bank's valuation that refutes s to the payload, if there is
+    one; whether there is."""
+    refutation = lg_oracle.refuting_valuation((s.left, s.right))
+    if refutation is None:
+        return False
+    payload["refuting_valuation"] = refutation
+    payload["lines"].append(
+        "refuting integer valuation: "
+        + ", ".join(f"{k} = {v}" for k, v in sorted(refutation.items()))
+    )
+    return True
+
+
 def _parse_oracle_input(text: str, th: Theory) -> Sequent:
     if "=>" in text:
         return parse_sequent(text, th)
@@ -119,18 +135,10 @@ def cmd_oracle(args) -> int:
         "valid": valid,
         "lines": ["VALID" if valid else "INVALID"],
     }
-    if not valid:
-        refutation = lg_oracle.refuting_valuation((s.left, s.right))
-        if refutation is not None:
-            payload["refuting_valuation"] = refutation
-            payload["lines"].append(
-                "refuting integer valuation: "
-                + ", ".join(f"{k} = {v}" for k, v in sorted(refutation.items()))
-            )
-        elif args.oracle == "lg":
-            payload["lines"].append(
-                "no refutation in the integer bank; instance may need a non-abelian order"
-            )
+    if not valid and not _add_refutation(payload, s) and args.oracle == "lg":
+        payload["lines"].append(
+            "no refutation in the integer bank; instance may need a non-abelian order"
+        )
     _emit(payload, args.format)
     return AFFIRMATIVE if valid else NEGATIVE
 

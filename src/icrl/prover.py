@@ -502,11 +502,7 @@ def _check_node(node: Proof, theory: Theory, allow_cut: bool, path: tuple[int, .
 
 
 def check_proof(p: Proof, theory: Theory, allow_cut: bool = False) -> bool:
-    try:
-        _check_node(p, theory, allow_cut, ())
-    except CheckFailure:
-        return False
-    return True
+    return check_proof_detailed(p, theory, allow_cut)[0]
 
 
 def check_proof_detailed(p: Proof, theory: Theory, allow_cut: bool = False):
@@ -855,7 +851,7 @@ def _refuted(goal, cone: bool) -> bool:
 
 def clear_caches():
     lg_oracle.lanes.cache_clear()
-    clear_table()  # the terms' intern and formula tables
+    clear_table()  # the terms' formula tables
 
 
 def _prove(goal, ctx: _Ctx, depth: int):

@@ -18,50 +18,78 @@ ASCII grammar, tightest-binding first:
 Sequents are written  t1, t2, ... => u  with a comma-separated right side in
 multiple-conclusion mode; either side may be empty there.
 
-Facts about a term are stored on it once, at construction.  Terms are
-interned, so equal terms are normally one object, and each term holds its
-signature bits `_sig`: the union over its subterms of HAS_F (the constant
-f), HAS_LATTICE (meet or join), HAS_FUSE and HAS_RDIV (the right residual).
-The signature check, the f-to-e substitution, ca's residual normalization
-and the group oracles' refusal of f read them instead of walking the term.
+Terms are hash-consed in a weak table (Filliâtre & Conchon, "Type-safe
+modular hash-consing", 2006): a constructor called on the arguments of a
+live term returns that term, so equal live terms are one object, and `==`
+and `hash` are object identity.  Each term also holds its signature bits
+`_sig`: the union over its subterms of HAS_F (the constant f), HAS_LATTICE
+(meet or join), HAS_FUSE and HAS_RDIV (the right residual).  The signature
+check, the f-to-e substitution, ca's residual normalization and the group
+oracles' refusal of f read them instead of walking the term.
 `parse_sequent` keeps a formula table per theory, from the stripped text of
 each formula of an accepted sequent to its term, and answers from it when
-every formula of a sequent is there.  The formula tables are emptied with
-the intern table: when it reaches INTERN_CAP entries, and by
-`clear_table()`.
+every formula of a sequent is there.  Each formula table empties itself at
+FORMULA_CAP entries, and `clear_table()` empties them all.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar
 
 
 class Term:
-    """Base class for term AST nodes.  Instances are immutable and interned:
-    a constructor called again on the same arguments returns the object it
-    built first, so equal terms are normally one object."""
+    """Base class for term AST nodes.  Instances are immutable and
+    hash-consed: a constructor called again on the arguments of a live term
+    returns that term, so equal live terms are one object, and equality and
+    hashing are object identity."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
 
-# The intern table: every variable (keyed by its name) and connective (by
-# its class and its children's ids) built since the table was last emptied.
-# An entry holds its term, hence the children, alive, so their ids name
-# them.  Of two threads that race on one miss, both return the term entered
-# first.  The table empties itself when it reaches INTERN_CAP entries, and
-# `clear_table()` empties it on demand.  Emptying is always safe: a term
-# built before it is not the same object as its twin built after, but the
-# two still compare equal, by structure, and hash alike.
+class _Ref(weakref.ref):
+    """The intern table's weak reference to a term, holding its own key."""
+
+    __slots__ = ("key",)
+
+
+# The intern table: every live variable (keyed by its name) and connective
+# (by its class and its children's ids), each by a weak reference.  A term
+# holds its children, so while it lives their ids name them.  When it dies,
+# CPython calls its reference's callback before it releases the children,
+# and the callback removes the entry if that entry is still a dead
+# reference, so it never removes a newer term's entry.
 _TABLE: dict = {}
-INTERN_CAP = 1 << 16  # as many as each lru cache of the package holds
 
-# parse_sequent's formula tables, one per theory, emptied with the intern
-# table so that no entry outlives the interning of its term.
+
+def _remove(ref):
+    _remove_dead_weakref(_TABLE, ref.key)
+
+
+def _enter(key, t: Term) -> Term:
+    """Enter the new term t under key, or return the live term that another
+    thread entered there first."""
+    ref = _Ref(t, _remove)
+    ref.key = key
+    while True:
+        old = _TABLE.setdefault(key, ref)
+        if old is ref:
+            return t
+        u = old()
+        if u is not None:
+            return u
+        _remove_dead_weakref(_TABLE, key)
+
+
+# parse_sequent's formula tables, one per theory, and the size at which each
+# empties itself: as many entries as each lru cache of the package holds.
 _FORMULAS: dict = {}
+FORMULA_CAP = 1 << 16
 
 # The signature bits (see the module docstring); e, variables and the left
 # residual set none.
@@ -69,30 +97,30 @@ HAS_F, HAS_LATTICE, HAS_FUSE, HAS_RDIV = 1, 2, 4, 8
 
 
 def clear_table():
-    _TABLE.clear()
+    """Empty the formula tables.  The intern table needs no emptying: an
+    entry leaves it when its term dies."""
     _FORMULAS.clear()
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Var(Term):
     name: str
     _sig: ClassVar[int] = 0
 
     def __new__(cls, name: str):
-        t = _TABLE.get(name)
+        ref = _TABLE.get(name)
+        t = ref() if ref is not None else None
         if t is None:
             t = _new(cls)
             _set_name(t, name)
-            if len(_TABLE) >= INTERN_CAP:
-                clear_table()
-            t = _TABLE.setdefault(name, t)
+            t = _enter(name, t)
         return t
 
     def __reduce__(self):
         return Var, (self.name,)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class ConstE(Term):
     _sig: ClassVar[int] = 0
 
@@ -100,120 +128,59 @@ class ConstE(Term):
         return E
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class ConstF(Term):
     _sig: ClassVar[int] = HAS_F
 
     def __new__(cls):
         return F
 
-    def __hash__(self):
-        # e has the dataclass hash, hash(()); f must not collide with it
-        return hash((0,))
 
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class _Binary(Term):
-    """A binary connective.  Its hash is hash((tag, l, r)), with the class's
-    own tag, so connectives over the same children hash apart.  It is
-    computed once at construction from the children's stored hashes: hashing
-    a term is O(1) and never recurses, however deep the term.  Its signature
-    bits, the children's and the class's own, are stored beside it."""
+    """A binary connective.  Its signature bits, the children's and the
+    class's own, are stored beside the children at construction."""
 
     l: Term
     r: Term
-    _h: int = field(repr=False, compare=False)
-    _sig: int = field(repr=False, compare=False)
-    _tag: ClassVar[int] = 0
+    _sig: int = field(repr=False)
     _bit: ClassVar[int] = 0
 
     def __new__(cls, l: Term, r: Term):
         key = (cls, id(l), id(r))
-        t = _TABLE.get(key)
+        ref = _TABLE.get(key)
+        t = ref() if ref is not None else None
         if t is None:
             t = _new(cls)
             _set_l(t, l)
             _set_r(t, r)
-            _set_h(t, hash((cls._tag, l, r)))
             _set_sig(t, l._sig | r._sig | cls._bit)
-            if len(_TABLE) >= INTERN_CAP:
-                clear_table()
-            t = _TABLE.setdefault(key, t)
+            t = _enter(key, t)
         return t
 
     def __reduce__(self):
         return type(self), (self.l, self.r)
-
-    def __hash__(self):
-        return self._h
-
-    def __eq__(self, other):
-        # identity first, which decides every pair of terms built since the
-        # intern table was last emptied; then class, stored hash and the
-        # children, without recursion.  A tree meets each pair of nodes
-        # once, so the first 32 pairs expanded are not remembered; past them
-        # every pair is, so equal DAGs built apart compare in time linear in
-        # their nodes.
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if other._h != self._h:
-            return False
-        stack = [self.l, other.l, self.r, other.r]
-        seen = set()
-        fresh = 32
-        while stack:
-            b = stack.pop()
-            a = stack.pop()
-            if a is b:
-                continue
-            cls = a.__class__
-            if cls is not b.__class__:
-                return False
-            if cls is Var:
-                if a.name != b.name:
-                    return False
-            elif cls is ConstE or cls is ConstF:
-                continue
-            elif a._h != b._h:
-                return False
-            elif fresh:
-                fresh -= 1
-                stack += (a.l, b.l, a.r, b.r)
-            elif (id(a), id(b)) not in seen:
-                seen.add((id(a), id(b)))
-                stack += (a.l, b.l, a.r, b.r)
-        return True
 
 
 # A new term is filled through the slot descriptors, which a frozen
 # dataclass's own __setattr__ refuses.
 _new = object.__new__
 _set_name = Var.name.__set__
-_set_l, _set_r = _Binary.l.__set__, _Binary.r.__set__
-_set_h, _set_sig = _Binary._h.__set__, _Binary._sig.__set__
-
-
-# Plain subclasses: @dataclass on a subclass would replace the stored hash
-# and the equality above with the generated recursive ones.
+_set_l, _set_r, _set_sig = _Binary.l.__set__, _Binary.r.__set__, _Binary._sig.__set__
 
 
 class Meet(_Binary):
     __slots__ = ()
-    _tag = 1
     _bit = HAS_LATTICE
 
 
 class Join(_Binary):
     __slots__ = ()
-    _tag = 2
     _bit = HAS_LATTICE
 
 
 class Fuse(_Binary):
     __slots__ = ()
-    _tag = 3
     _bit = HAS_FUSE
 
 
@@ -221,14 +188,12 @@ class LDiv(_Binary):
     """Left residual l \\ r."""
 
     __slots__ = ()
-    _tag = 4
 
 
 class RDiv(_Binary):
     """Right residual l / r."""
 
     __slots__ = ()
-    _tag = 5
     _bit = HAS_RDIV
 
 
@@ -521,10 +486,8 @@ def parse_sequent(text: str, theory: Theory = Theory.ICRL) -> Sequent:
         except KeyError:
             pass
     s = _parse_sequent(text, theory)
-    # if the tables were emptied during the parse, `table` is detached, so
-    # the result's terms, some built before the emptying, reach no table in use
     if len(s.left) == len(left) and len(s.right) == len(right):
-        if len(table) >= INTERN_CAP:  # spacing variants of a text add no terms
+        if len(table) >= FORMULA_CAP:  # spacing variants of a text add no terms
             table.clear()
         table.update(zip(left, s.left))
         table.update(zip(right, s.right))

@@ -8,7 +8,7 @@ from icrl import lg_oracle
 from icrl.cli import run
 from icrl.finmod import algebra_to_dict
 from icrl.prover import proof_from_json
-from icrl.terms import MAX_TERM_DEPTH, Theory, parse_term, print_term
+from icrl.terms import MAX_TERM_DEPTH, Theory, parse_sequent, parse_term, print_term
 from test_terms import depth_chains
 from tests_helpers_oracles import eval_int
 
@@ -29,6 +29,28 @@ def test_prove_exit_codes(capsys):
     code, _, err = run_cli(capsys, "prove", "--theory", "icrl", "x => ")
     assert code == 2
     assert "error" in err
+
+
+def test_prove_reports_the_refuting_integer_valuation(capsys):
+    for th, text in (("icrl", "x => x * x"), ("ca", "x => x, x")):
+        code, out, _ = run_cli(capsys, "prove", "--theory", th, "--format", "json", text)
+        assert code == 1
+        payload = json.loads(out)
+        val = payload["refuting_valuation"]
+        # the valuation refutes the sequent in Z: the left side exceeds the right
+        s = parse_sequent(text, Theory(th))
+        left, right = (sum(eval_int(t, val) for t in side) for side in (s.left, s.right))
+        assert left > right, (th, val)
+        assert payload["lines"][1] == f"refuting integer valuation: x = {val['x']}"
+        code, out, _ = run_cli(capsys, "prove", "--theory", th, text)
+        assert out.splitlines()[1] == f"refuting integer valuation: x = {val['x']}"
+    # x \ x => e holds in Z, so the bank does not refute it in rl; and Z is
+    # not a model of irl, so irl reports no integer valuation
+    for th, text in (("rl", "x \\ x => e"), ("irl", "x => x * x")):
+        code, out, _ = run_cli(capsys, "prove", "--theory", th, "--format", "json", text)
+        assert code == 1 and "refuting_valuation" not in json.loads(out), (th, text)
+        code, out, _ = run_cli(capsys, "prove", "--theory", th, text)
+        assert out.splitlines() == [f"NOT DERIVABLE: {text} [{th}]"]
 
 
 def test_prove_emit_and_check_round_trip(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """`parse_sequent` reads each formula text once per session: a table per
 theory maps the stripped text of every formula of an accepted sequent to its
 term, and a sequent whose formulas are all there is built without lexing.
-The parser is the table's only writer, and the table is emptied with the
-intern table, so reading from it changes no result."""
+The parser is the table's only writer, and the table holds its terms alive,
+so they stay the interned ones and reading from it changes no result."""
 
 import json
 
@@ -128,7 +128,8 @@ def _current(t):
     """Whether t and its subterms are the terms the intern table holds now."""
     for sub in subterms(t):
         key = sub.name if isinstance(sub, Var) else (type(sub), id(sub.l), id(sub.r))
-        if sub is not E and sub is not F and terms._TABLE.get(key) is not sub:
+        ref = terms._TABLE.get(key)
+        if sub is not E and sub is not F and (ref is None or ref() is not sub):
             return False
     return True
 
@@ -137,9 +138,9 @@ def test_no_hit_returns_a_term_from_before_an_emptying(monkeypatch, parser_calls
     small = ["x => x", "x, y => y", "y => x \\ y"]
     large = ["x * y, y / x => x /\\ y", "(x \\/ y) * z => z \\ (y * x)"]
     want = {text: print_sequent(parse_sequent(text, Theory.ICRL)) for text in small + large}
-    # with a cap of 8 the tables empty every few constructions, and the
-    # large texts build more terms than that
-    monkeypatch.setattr(terms, "INTERN_CAP", 8)
+    # with a cap of 4 the formula table empties every few texts, and the
+    # large texts hold more formulas than the small ones
+    monkeypatch.setattr(terms, "FORMULA_CAP", 4)
     prover.clear_caches()
     hits = 0
     for k in range(30):

@@ -1,17 +1,20 @@
-"""Terms are interned at construction: equal terms built anywhere since the
-intern table was last emptied are one object, and emptying the table changes
-no result."""
+"""Terms are hash-consed in a weak table: equal live terms built anywhere are
+one object, an entry leaves the table when its term dies, and a term built
+after its twin died is a new term that changes no result."""
 
 import copy
+import gc
 import json
 import pickle
 import random
+import subprocess
 import sys
 import threading
+import weakref
 
 import pytest
 
-from icrl import prover, terms
+from icrl import ablg_oracle, lg_oracle, prover, terms
 from icrl.corpus import gen_term
 from icrl.prover import check_proof, proof_from_json, proof_to_json, search
 from icrl.terms import (
@@ -39,7 +42,7 @@ from icrl.terms import (
     subst_f_to_e,
     subterms,
 )
-from test_golden_proofs import FIXTURE, _golden
+from test_golden_proofs import FIXTURE, _case, _cases
 
 
 def _deep(depth):
@@ -49,6 +52,14 @@ def _deep(depth):
     for i in range(depth - 1):
         t = conns[i % 5](t, (Var("y"), E, F)[i % 3])
     return t
+
+
+def _clear_every_cache():
+    """Empty every cache that holds terms, so that the terms nothing else
+    holds die and leave the table."""
+    for module in (prover, lg_oracle, ablg_oracle):
+        module.clear_caches()
+    print_term.cache_clear()
 
 
 def test_equal_terms_built_anywhere_are_one_object():
@@ -81,33 +92,11 @@ def test_copy_deepcopy_and_pickle_return_the_interned_term(roundtrip):
     assert sum(1 for _ in subterms(t)) == 2 * MAX_TERM_DEPTH - 1
     for u in (t, t.l, Var("z"), E, F):
         assert roundtrip(u) is u
-    # across an emptying of the table the copy is equal, not identical, and
-    # keeps the signature bits of every subterm
+    # after the caches are emptied, the copy of a live term is still that term
     prover.clear_caches()
-    u = roundtrip(t)
-    assert u == t and hash(u) == hash(t) and u is not t
-    assert [a._sig for a in subterms(u)] == [b._sig for b in subterms(t)]
-    assert u._sig == HAS_F | HAS_LATTICE | HAS_FUSE | HAS_RDIV
-
-
-def test_terms_from_before_an_emptying_equal_their_twins():
-    old = [_deep(12), parse_term("(x \\/ y) \\ e * ~x"), Var("x")]
-    prover.clear_caches()
-    new = [_deep(12), parse_term("(x \\/ y) \\ e * ~x"), Var("x")]
-    for a, b in zip(old, new):
-        assert a is not b
-        assert a == b and b == a and hash(a) == hash(b)
-        assert {a: 1}[b] == 1
-    # a connective over an old child hashes and compares like the new one
-    assert Fuse(old[0], E) == Fuse(new[0], E)
-    assert hash(Fuse(old[0], E)) == hash(Fuse(new[0], E))
-
-
-def test_clear_caches_empties_the_table():
-    parse_term("x * y \\ z /\\ e")
-    assert len(terms._TABLE) > 0
-    prover.clear_caches()
-    assert len(terms._TABLE) == 0
+    for u in (t, t.l, Var("z"), E, F):
+        assert roundtrip(u) is u
+    assert roundtrip(t)._sig == HAS_F | HAS_LATTICE | HAS_FUSE | HAS_RDIV
 
 
 def test_threads_racing_on_a_miss_return_one_term():
@@ -136,26 +125,70 @@ def test_threads_racing_on_a_miss_return_one_term():
     assert all(parse_term(text) is t for text, t in zip(texts, built[0]))
 
 
-def test_the_table_empties_itself_at_its_cap(monkeypatch):
-    prover.clear_caches()
-    monkeypatch.setattr(terms, "INTERN_CAP", 8)
-    t = Var("x")
-    for _ in range(100):
-        t = Fuse(t, Var("y"))
-        assert len(terms._TABLE) <= 8
-    assert hash(t) == hash((Fuse._tag, t.l, t.r))
-
-
-def test_emptying_the_table_midway_changes_no_result(monkeypatch):
-    # with a cap of 8 the table empties every few constructions, so goals,
-    # memo keys and cache keys mix terms from either side of an emptying
-    monkeypatch.setattr(terms, "INTERN_CAP", 8)
-    prover.clear_caches()
+def test_emptying_the_table_midway_changes_no_result():
+    # every case starts from empty caches, so the terms of the cases before
+    # it have died and left the table, and their ids are free for its own
     expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
-    assert _golden() == expected
+    got = []
+    for th, formulation, text in _cases():
+        _clear_every_cache()
+        got.append(_case(th, formulation, text))
+    assert got == expected
     for case in expected:
         if case["proof"] is not None:
+            _clear_every_cache()
             th = Theory(case["theory"])
             back = proof_from_json(case["proof"], th)
             assert proof_to_json(back) == case["proof"]
             assert check_proof(back, th)
+
+
+def test_terms_built_over_reused_ids_have_their_own_class_and_children():
+    rng = random.Random(18)
+    conns = (Meet, Join, Fuse, LDiv, RDiv)
+    live = [Var("x"), Var("y"), E, F]
+    seen = {}  # id -> a weak reference to the term last seen there
+    reused = 0
+    for _ in range(20_000):
+        cls, l, r = rng.choice(conns), rng.choice(live), rng.choice(live)
+        t = cls(l, r)
+        assert type(t) is cls and t.l is l and t.r is r
+        old = seen.get(id(t))
+        reused += old is not None and old() is None
+        seen[id(t)] = weakref.ref(t)
+        if rng.random() < 0.3:
+            live.append(t)
+        if len(live) > 40:
+            del live[rng.randrange(4, len(live))]
+    assert reused > 1000
+    for cls in conns:
+        for l in live:
+            for r in live:
+                t = cls(l, r)
+                assert type(t) is cls and t.l is l and t.r is r
+
+
+def test_an_entry_leaves_the_table_with_its_term():
+    _clear_every_cache()
+    gc.collect()  # no garbage cycle holding terms is left to die midway
+    before = len(terms._TABLE)
+    t = parse_term("(v1 \\/ v2) * v3 \\ v4 /\\ e")
+    assert print_term(t) == "(v1 \\/ v2) * v3 \\ v4 /\\ e"
+    assert len(terms._TABLE) == before + 8
+    del t
+    assert len(terms._TABLE) == before + 8  # print_term's cache holds it
+    _clear_every_cache()
+    assert len(terms._TABLE) == before
+
+
+def test_an_interpreter_exiting_with_live_terms_prints_nothing():
+    # live terms die, and their entries' callbacks run, while the interpreter
+    # shuts down; an exception raised there would only be printed to stderr
+    code = (
+        "from icrl import prover\n"
+        "from icrl.terms import Theory, parse_sequent\n"
+        "s = parse_sequent('x, y \\\\ e => x * (y \\\\ e)', Theory.ICRL)\n"
+        "print(prover.search(s, Theory.ICRL).derivable)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")

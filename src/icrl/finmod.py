@@ -1,5 +1,10 @@
 """Finite-algebra workbench: validation, properties, enumeration, refutation.
 
+Every algebra has one order, `FiniteAlgebra.le`: the lattice order when it
+has a meet, and otherwise the one its residual induces (a below b iff
+a\\b = e), as in semi-integral residuated pomonoids; those store no order
+table.  `validate` checks that order once and the signature's axioms over it.
+
 Residuated lattices are enumerated lattice-first, over one labeled
 representative of each lattice: every residuated fusion preserves joins in
 each argument, so it is determined by its values on join-irreducible pairs;
@@ -11,9 +16,6 @@ over that lattice's automorphisms; sirmonoid candidates all have e = 0 and
 are compared over the relabelings that fix it.  The first candidate of each
 isomorphism class is kept.
 
-Semi-integral residuated pomonoids derive their order from the residual
-(a below b iff a\\b = e) rather than storing an order table.
-
 Countermodels found here certify non-derivability: finite integral algebras
 are integrally closed, so any theory between them and the full variety is
 refuted soundly.  No completeness is claimed: the integrally closed variety
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .terms import (
@@ -96,22 +98,31 @@ def _tbl(rows) -> Table:
     return tuple(tuple(r) for r in rows)
 
 
-def algebra_from_dict(d: dict) -> FiniteAlgebra:
-    n = d["size"]
+def _entry(key: str, v, bit: bool = False):
+    """v if it is an integer (a bool is not), as a bool if bit and it is 0 or 1."""
+    if type(v) is not int or (bit and v not in (0, 1)):
+        raise ValueError(f"{key!r}: {v!r} is not {'0 or 1' if bit else 'an integer'}")
+    return bool(v) if bit else v
 
-    def unflatten(key, cast=int):
+
+def algebra_from_dict(d: dict) -> FiniteAlgebra:
+    """The algebra of a JSON object; `size`, `e`, `f` and every table entry
+    must be integers, and every `leq` entry 0 or 1."""
+    n = _entry("size", d["size"])
+
+    def unflatten(key, bit=False):
         if key not in d or d[key] is None:
             return None
         flat = d[key]
         if len(flat) != n * n:
             raise ValueError(f"table {key!r} must have {n * n} entries")
-        return _tbl(tuple(cast(flat[i * n + j]) for j in range(n)) for i in range(n))
+        return _tbl(tuple(_entry(key, flat[i * n + j], bit) for j in range(n)) for i in range(n))
 
     return FiniteAlgebra(
         size=n,
-        e=d["e"],
-        f=d.get("f"),
-        leq=unflatten("leq", cast=lambda v: bool(int(v))),
+        e=_entry("e", d["e"]),
+        f=None if d.get("f") is None else _entry("f", d["f"]),
+        leq=unflatten("leq", bit=True),
         meet=unflatten("meet"),
         join=unflatten("join"),
         fuse=unflatten("fuse"),
@@ -141,13 +152,46 @@ def load_algebra(path: str) -> FiniteAlgebra:
 # --- validation ---------------------------------------------------------------
 
 
+# The tables each signature needs.
+_NEEDS = {
+    "rl": ("meet", "join", "fuse", "ldiv", "rdiv"),
+    "sirmonoid": ("fuse", "ldiv", "rdiv"),
+    "pbci": ("ldiv", "rdiv"),
+}
+
+
 def validate(a: FiniteAlgebra) -> list[str]:
-    """All axiom violations for the algebra's signature; empty iff genuine."""
-    if a.signature == "rl":
-        return _validate_rl(a)
-    if a.signature == "sirmonoid":
-        return _validate_sirmonoid(a)
-    return _validate_pbci(a)
+    """All axiom violations for the algebra's signature; empty iff genuine.
+    The order `a.le` is built once and must be a partial order; then come
+    the lattice axioms (rl) or the sirmonoid axioms (sirmonoid, pbci), and
+    for a fusion the monoid and residuation laws over the same order."""
+    v = _range_ok(a)
+    if v:
+        return v
+    sig = a.signature
+    v = [f"missing table {key}" for key in _NEEDS[sig] if getattr(a, key) is None]
+    if sig != "rl":
+        if a.join is not None:  # a meet table makes the signature rl
+            v.append(f"{sig} signature must not carry lattice tables")
+        if a.leq is not None:
+            v.append(f"{sig} signature must not carry an order table")
+    if v:
+        return v
+    rng = range(a.size)
+    le = [[a.le(x, y) for y in rng] for x in rng]
+    for x in rng:
+        if not le[x][x]:
+            v.append(f"order not reflexive at {x}")
+        for y in rng:
+            if x != y and le[x][y] and le[y][x]:
+                v.append(f"order not antisymmetric at ({x},{y})")
+            for z in rng:
+                if le[x][y] and le[y][z] and not le[x][z]:
+                    v.append(f"order not transitive at ({x},{y},{z})")
+    v.extend(_lattice_axioms(a, le) if sig == "rl" else _sirmonoid_axioms(a))
+    if a.fuse is not None:
+        v.extend(_monoid_axioms(a, le))
+    return v
 
 
 def _range_ok(a: FiniteAlgebra) -> list[str]:
@@ -169,171 +213,67 @@ def _range_ok(a: FiniteAlgebra) -> list[str]:
     return out
 
 
-def _validate_rl(a: FiniteAlgebra) -> list[str]:
-    v = _range_ok(a)
-    if v:
-        return v
-    n = a.size
-    for key in ("meet", "join", "fuse", "ldiv", "rdiv"):
-        if getattr(a, key) is None:
-            v.append(f"missing table {key}")
-    if v:
-        return v
-    leq = a.leq
-    if leq is None:
-        leq = tuple(tuple(a.meet[x][y] == x for y in range(n)) for x in range(n))
-    rng = range(n)
-    for x in rng:
-        if not leq[x][x]:
-            v.append(f"order not reflexive at {x}")
-    for x in rng:
-        for y in rng:
-            if x != y and leq[x][y] and leq[y][x]:
-                v.append(f"order not antisymmetric at ({x},{y})")
-            for z in rng:
-                if leq[x][y] and leq[y][z] and not leq[x][z]:
-                    v.append(f"order not transitive at ({x},{y},{z})")
+def _lattice_axioms(a: FiniteAlgebra, le) -> list[str]:
+    """Meet and join are the greatest lower and least upper bounds; so a
+    stored order table is the meet's order."""
+    v = []
+    rng = range(a.size)
     for x in rng:
         for y in rng:
             m, j = a.meet[x][y], a.join[x][y]
-            if not (leq[m][x] and leq[m][y]):
+            if not (le[m][x] and le[m][y]):
                 v.append(f"meet({x},{y}) not a lower bound")
-            if not (leq[x][j] and leq[y][j]):
+            if not (le[x][j] and le[y][j]):
                 v.append(f"join({x},{y}) not an upper bound")
             for z in rng:
-                if leq[z][x] and leq[z][y] and not leq[z][m]:
+                if le[z][x] and le[z][y] and not le[z][m]:
                     v.append(f"meet({x},{y}) not greatest at {z}")
-                if leq[x][z] and leq[y][z] and not leq[j][z]:
+                if le[x][z] and le[y][z] and not le[j][z]:
                     v.append(f"join({x},{y}) not least at {z}")
-    v.extend(_validate_monoid(a))
-    # residuation: b <= a\c  iff  ab <= c  iff  a <= c/b
-    for x in rng:
-        for b in rng:
-            for c in rng:
-                fused = leq[a.fuse[x][b]][c]
-                if leq[b][a.ldiv[x][c]] != fused:
-                    v.append(f"residuation (ldiv) fails at ({x},{b},{c})")
-                if leq[x][a.rdiv[c][b]] != fused:
-                    v.append(f"residuation (rdiv) fails at ({x},{b},{c})")
-    if a.leq is not None:
-        for x in rng:
-            for y in rng:
-                if a.leq[x][y] != (a.meet[x][y] == x):
-                    v.append(f"stored order disagrees with meet at ({x},{y})")
     return v
 
 
-def _validate_monoid(a: FiniteAlgebra) -> list[str]:
+def _sirmonoid_axioms(a: FiniteAlgebra) -> list[str]:
+    """The equational axioms (i)-(iv) of semi-integral residuated pomonoids;
+    (vi) is antisymmetry.  (iii) makes e maximal, and (i)-(iv) give x/x = e
+    and b/a = e iff a below b; with a fusion, residuation and associativity
+    give (v), (xy)\\z = y\\(x\\z)."""
     v = []
-    n = a.size
-    for x in range(n):
-        if a.fuse[a.e][x] != x or a.fuse[x][a.e] != x:
-            v.append(f"unit law fails at {x}")
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if a.fuse[a.fuse[x][y]][z] != a.fuse[x][a.fuse[y][z]]:
-                    v.append(f"associativity fails at ({x},{y},{z})")
-    return v
-
-
-def _sirmonoid_axioms(a: FiniteAlgebra, with_fuse: bool) -> list[str]:
-    """The equational axioms (i)-(vi) of semi-integral residuated pomonoids;
-    (v) only when fusion is present."""
-    v = []
-    n = a.size
     e = a.e
     ld, rd = a.ldiv, a.rdiv
-    rng = range(n)
+    rng = range(a.size)
     for x in rng:
         if ld[e][x] != x:
             v.append(f"axiom (iii) e\\x = x fails at {x}")
         if rd[x][e] != x:
             v.append(f"axiom (iv) x/e = x fails at {x}")
-    for x in rng:
         for y in rng:
-            if ld[x][y] == e and ld[y][x] == e and x != y:
-                v.append(f"axiom (vi) antisymmetry fails at ({x},{y})")
             for z in rng:
                 if rd[rd[ld[x][z]][ld[y][z]]][ld[x][y]] != e:
                     v.append(f"axiom (i) fails at ({x},{y},{z})")
                 if ld[rd[y][x]][ld[rd[z][y]][rd[z][x]]] != e:
                     v.append(f"axiom (ii) fails at ({x},{y},{z})")
-                if with_fuse and ld[a.fuse[x][y]][z] != ld[y][ld[x][z]]:
-                    v.append(f"axiom (v) fails at ({x},{y},{z})")
     return v
 
 
-def _order_checks(a: FiniteAlgebra) -> list[str]:
-    """The induced relation a below b iff a\\b = e must be a partial order
-    with e maximal, agreeing with b/a = e."""
+def _monoid_axioms(a: FiniteAlgebra, le) -> list[str]:
+    """e is the unit of an associative fusion residuated by ldiv and rdiv:
+    b <= a\\c iff ab <= c iff a <= c/b."""
     v = []
-    n = a.size
-    e = a.e
-    rng = range(n)
-    below = [[a.ldiv[x][y] == e for y in rng] for x in rng]
+    fuse, rng = a.fuse, range(a.size)
     for x in rng:
-        if not below[x][x]:
-            v.append(f"induced order not reflexive at {x} (not integrally closed)")
-        if a.rdiv[x][x] != e:
-            v.append(f"x/x = e fails at {x}")
+        if fuse[a.e][x] != x or fuse[x][a.e] != x:
+            v.append(f"unit law fails at {x}")
+    for x in rng:
         for y in rng:
-            if below[x][y] != (a.rdiv[y][x] == e):
-                v.append(f"left/right order disagreement at ({x},{y})")
             for z in rng:
-                if below[x][y] and below[y][z] and not below[x][z]:
-                    v.append(f"induced order not transitive at ({x},{y},{z})")
-    for x in rng:
-        if below[e][x] and x != e:
-            v.append(f"e is not maximal: e below {x}")
-    return v
-
-
-def _validate_sirmonoid(a: FiniteAlgebra) -> list[str]:
-    v = _range_ok(a)
-    if v:
-        return v
-    for key in ("fuse", "ldiv", "rdiv"):
-        if getattr(a, key) is None:
-            v.append(f"missing table {key}")
-    if a.meet is not None or a.join is not None:
-        v.append("sirmonoid signature must not carry lattice tables")
-    if a.leq is not None:
-        v.append("sirmonoid signature must not carry an order table")
-    if v:
-        return v
-    v.extend(_validate_monoid(a))
-    v.extend(_order_checks(a))
-    v.extend(_sirmonoid_axioms(a, with_fuse=True))
-    # residuation with respect to the induced order
-    n, e = a.size, a.e
-    rng = range(n)
-    below = [[a.ldiv[x][y] == e for y in rng] for x in rng]
-    for x in rng:
-        for b in rng:
-            for c in rng:
-                fused = below[a.fuse[x][b]][c]
-                if below[b][a.ldiv[x][c]] != fused:
-                    v.append(f"pomonoid residuation (ldiv) fails at ({x},{b},{c})")
-                if below[x][a.rdiv[c][b]] != fused:
-                    v.append(f"pomonoid residuation (rdiv) fails at ({x},{b},{c})")
-    return v
-
-
-def _validate_pbci(a: FiniteAlgebra) -> list[str]:
-    v = _range_ok(a)
-    if v:
-        return v
-    if a.ldiv is None or a.rdiv is None:
-        return ["missing table ldiv or rdiv"]
-    if a.join is not None:  # a meet or fuse table makes the signature rl or sirmonoid
-        v.append("pbci signature must not carry lattice tables")
-    if a.leq is not None:
-        v.append("pbci signature must not carry an order table")
-    if v:
-        return v
-    v.extend(_order_checks(a))
-    v.extend(_sirmonoid_axioms(a, with_fuse=False))
+                if fuse[fuse[x][y]][z] != fuse[x][fuse[y][z]]:
+                    v.append(f"associativity fails at ({x},{y},{z})")
+                fused = le[fuse[x][y]][z]
+                if le[y][a.ldiv[x][z]] != fused:
+                    v.append(f"residuation (ldiv) fails at ({x},{y},{z})")
+                if le[x][a.rdiv[z][y]] != fused:
+                    v.append(f"residuation (rdiv) fails at ({x},{y},{z})")
     return v
 
 
@@ -410,10 +350,8 @@ def check_property(a: FiniteAlgebra, name: str, arg: int | None = None) -> bool:
                 if power == e and x != e:
                     return False
         return True
-    if name == "rl":
-        return a.signature == "rl" and not validate(a)
-    if name == "sirmonoid":
-        return a.signature == "sirmonoid" and not validate(a)
+    if name in ("rl", "sirmonoid"):
+        return a.signature == name and not validate(a)
     if name == "pbci":
         if a.ldiv is None or a.rdiv is None:
             return False
@@ -564,7 +502,7 @@ def _fill_fuse(n, leq, meet, join, jis, decomp, bottom, e):
     join-irreducibles; each table is their join-preserving extension.  Each
     cell's values are first bounded by the unit and monotonicity: j <= e
     gives jk <= k, k <= e gives jk <= j, e <= j gives k <= jk and e <= k
-    gives j <= jk, so the bounds drop only tables that _finish_rl rejects."""
+    gives j <= jk, so the bounds drop only tables that _finish rejects."""
     cells = [(j, k) for j in jis for k in jis]
     choices = [
         [
@@ -599,7 +537,7 @@ def _fill_fuse(n, leq, meet, join, jis, decomp, bottom, e):
     def assign(idx):
         if idx == len(cells):
             fuse = _tbl([joined(x, y) for y in range(n)] for x in range(n))
-            alg = _finish_rl(n, leq, meet, join, fuse, e)
+            alg = _finish(n, e, leq, fuse, meet, join)
             if alg is not None:
                 yield alg
             return
@@ -635,26 +573,33 @@ def _residuals(n, leq, fuse):
     return ldiv, rdiv
 
 
-def _finish_rl(n, leq, meet, join, fuse, e):
-    for x in range(n):
-        if fuse[e][x] != x or fuse[x][e] != x:
-            return None
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if fuse[fuse[x][y]][z] != fuse[x][fuse[y][z]]:
-                    return None
-    residuals = _residuals(n, leq, fuse)
+def _finish(n, e, order, fuse, meet=None, join=None):
+    """The validated algebra with this order and fusion and its residuals,
+    or None.  With a meet the order is stored, and a table that is not a
+    monoid is rejected before the residuals; without one, the residual must
+    induce the order (semi-integrality), and no order is stored."""
+    rng = range(n)
+    if meet is not None:
+        for x in rng:
+            if fuse[e][x] != x or fuse[x][e] != x:
+                return None
+            for y in rng:
+                for z in rng:
+                    if fuse[fuse[x][y]][z] != fuse[x][fuse[y][z]]:
+                        return None
+    residuals = _residuals(n, order, fuse)
     if residuals is None:
         return None
     ldiv, rdiv = residuals
+    if meet is None:
+        if any((ldiv[x][y] == e) != order[x][y] for x in rng for y in rng):
+            return None
+        order = None
     alg = FiniteAlgebra(
-        size=n, e=e, leq=leq, meet=meet, join=join, fuse=fuse,
+        size=n, e=e, leq=order, meet=meet, join=join, fuse=fuse,
         ldiv=_tbl(ldiv), rdiv=_tbl(rdiv),
     )
-    if validate(alg):
-        return None
-    return alg
+    return None if validate(alg) else alg
 
 
 def _orbit_key(a: FiniteAlgebra, perms):
@@ -735,39 +680,16 @@ def _enumerate_sirmonoids(n: int):
                 for z in range(n)
             ):
                 continue
-            alg = _finish_sirmonoid(n, e, fuse, below)
+            alg = _finish(n, e, below, fuse)
             if alg is not None:
                 yield alg
 
 
-def _finish_sirmonoid(n, e, fuse, below):
-    residuals = _residuals(n, below, fuse)
-    if residuals is None:
-        return None
-    ldiv, rdiv = residuals
-    # semi-integrality: the induced order must coincide with the given one
-    for x in range(n):
-        for y in range(n):
-            if (ldiv[x][y] == e) != below[x][y]:
-                return None
-    alg = FiniteAlgebra(size=n, e=e, fuse=fuse, ldiv=_tbl(ldiv), rdiv=_tbl(rdiv))
-    if validate(alg):
-        return None
-    return alg
-
-
 def _enumerate_casari(n: int):
     for base in enumerate_algebras(n, "integral"):
-        if not base.is_commutative():
-            continue
         for f in range(n):
-            if base.fuse[f][f] != f:
-                continue
-            cand = FiniteAlgebra(
-                size=n, e=base.e, f=f, leq=base.leq, meet=base.meet,
-                join=base.join, fuse=base.fuse, ldiv=base.ldiv, rdiv=base.rdiv,
-            )
-            if all(cand.ldiv[cand.ldiv[x][f]][f] == x for x in range(n)):
+            cand = replace(base, f=f)
+            if check_property(cand, "casari"):
                 yield cand
 
 

@@ -851,7 +851,7 @@ def _refuted(goal, cone: bool) -> bool:
 
 def clear_caches():
     lg_oracle.lanes.cache_clear()
-    clear_table()  # the terms' formula tables
+    clear_table()  # the terms' formula tables and print_term's cache
 
 
 def _prove(goal, ctx: _Ctx, depth: int):

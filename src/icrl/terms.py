@@ -29,7 +29,7 @@ oracles' refusal of f read them instead of walking the term.
 `parse_sequent` keeps a formula table per theory, from the stripped text of
 each formula of an accepted sequent to its term, and answers from it when
 every formula of a sequent is there.  Each formula table empties itself at
-FORMULA_CAP entries, and `clear_table()` empties them all.
+FORMULA_CAP entries; `clear_table()` empties them all and print_term's cache.
 """
 
 from __future__ import annotations
@@ -97,9 +97,10 @@ HAS_F, HAS_LATTICE, HAS_FUSE, HAS_RDIV = 1, 2, 4, 8
 
 
 def clear_table():
-    """Empty the formula tables.  The intern table needs no emptying: an
-    entry leaves it when its term dies."""
+    """Empty the formula tables and print_term's cache, which hold terms.
+    The intern table needs no emptying: an entry leaves it when its term dies."""
     _FORMULAS.clear()
+    print_term.cache_clear()
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)

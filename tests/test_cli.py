@@ -149,6 +149,16 @@ def test_finmod_cli(tmp_path, capsys):
     assert code == 2
 
 
+def test_finmod_validate_rejects_non_integer_entries(tmp_path, capsys):
+    from tests_helpers_algebras import two_chain_dict
+
+    path = tmp_path / "chain.json"
+    for key, value in (("fuse", [0.4, 0, 0, 1]), ("leq", [7, 1, 0, 1]), ("e", True)):
+        path.write_text(json.dumps({**two_chain_dict(), key: value}))
+        code, out, err = run_cli(capsys, "finmod", "validate", str(path))
+        assert (code, out) == (2, "") and repr(key) in err
+
+
 def test_corpus_run_cli(tmp_path, capsys, monkeypatch):
     spec = {
         "suites": [

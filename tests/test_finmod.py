@@ -19,7 +19,7 @@ from icrl.finmod import (
     validate,
 )
 from icrl.terms import E, LDiv, Meet, Sequent, Theory, Var, parse_sequent, parse_term
-from tests_helpers_algebras import canonical_form, lattices
+from tests_helpers_algebras import canonical_form, lattices, two_chain_dict
 
 x, y = Var("x"), Var("y")
 
@@ -197,7 +197,7 @@ def test_enumerate_rl_matches_brute_force_at_size_2():
         for e in range(2):
             for cells in itertools.product(range(2), repeat=4):
                 fuse = (cells[0:2], cells[2:4])
-                alg = finmod._finish_rl(2, leq, meet, join, fuse, e)
+                alg = finmod._finish(2, e, leq, fuse, meet, join)
                 if alg is not None:
                     found.add(canonical_form(alg))
     assert len(found) == len(enumerate_algebras(2, "rl"))
@@ -261,6 +261,25 @@ def test_algebra_json_round_trip():
         blob = algebra_to_dict(alg)
         back = algebra_from_dict(blob)
         assert back == alg
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("fuse", [0.4, 0, 0, 1]),
+        ("fuse", [0, 0, 0, 1.9]),
+        ("leq", [7, 1, 0, 1]),
+        ("leq", ["1", 1, 0, 1]),
+        ("leq", [True, 1, 0, 1]),
+        ("e", True),
+        ("f", 0.0),
+        ("size", 2.0),
+    ],
+)
+def test_algebra_files_hold_integer_entries_only(key, value):
+    # a cast would read 0.4 as 0 and 7 as an order entry
+    with pytest.raises(ValueError, match=repr(key)):
+        algebra_from_dict({**two_chain_dict(), key: value})
 
 
 def test_refutation_agrees_with_prover():

@@ -181,6 +181,23 @@ def test_an_entry_leaves_the_table_with_its_term():
     assert len(terms._TABLE) == before
 
 
+def test_the_oracle_and_prover_caches_hold_no_term_once_cleared():
+    # print_term's cache holds every term it printed, so prover.clear_caches()
+    # empties it with the formula tables
+    clear = (prover.clear_caches, lg_oracle.clear_caches, ablg_oracle.clear_caches)
+    for fn in clear:
+        fn()
+    gc.collect()
+    before = len(terms._TABLE)
+    s = parse_sequent("u * (u \\ e), w => w", Theory.ICRL)
+    res = search(s, Theory.ICRL)
+    assert res.derivable and proof_to_json(res.proof)
+    del s, res
+    for fn in clear:
+        fn()
+    assert len(terms._TABLE) == before
+
+
 def test_an_interpreter_exiting_with_live_terms_prints_nothing():
     # live terms die, and their entries' callbacks run, while the interpreter
     # shuts down; an exception raised there would only be printed to stderr

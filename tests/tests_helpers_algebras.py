@@ -93,7 +93,7 @@ def fill_fuse(n, leq, meet, join, jis, decomp, bottom, e):
     def assign(idx, values):
         if idx == len(cells):
             fuse = [[joined(values, x, y) for y in range(n)] for x in range(n)]
-            alg = finmod._finish_rl(n, leq, meet, join, _tbl(fuse), e)
+            alg = finmod._finish(n, e, leq, _tbl(fuse), meet, join)
             if alg is not None:
                 yield alg
             return

@@ -56,8 +56,8 @@ def cmd_prove(args) -> int:
         "max_depth": out.max_depth,
         "lines": [f"{verdict}: {print_sequent(s)} [{th.value}]"],
     }
-    if not out.derivable and th is not Theory.IRL:  # Z is a model of every other theory
-        _add_refutation(payload, s)
+    if not out.derivable:  # Z is a model of every theory but irl, its negative cone of irl
+        _add_refutation(payload, s, cone=th is Theory.IRL)
     if out.derivable and args.emit_proof:
         with open(args.emit_proof, "w", encoding="utf-8") as fh:
             fh.write(prover.proof_to_json(out.proof))
@@ -100,15 +100,15 @@ def cmd_elimcut(args) -> int:
     return AFFIRMATIVE
 
 
-def _add_refutation(payload: dict, s: Sequent) -> bool:
-    """Add the Z bank's valuation that refutes s to the payload, if there is
-    one; whether there is."""
-    refutation = lg_oracle.refuting_valuation((s.left, s.right))
+def _add_refutation(payload: dict, s: Sequent, cone: bool = False) -> bool:
+    """Add the Z bank's valuation that refutes s in Z or, with `cone`, in its
+    negative cone to the payload, if there is one; whether there is."""
+    refutation = lg_oracle.refuting_valuation((s.left, s.right), cone)
     if refutation is None:
         return False
     payload["refuting_valuation"] = refutation
     payload["lines"].append(
-        "refuting integer valuation: "
+        f"refuting {'negative-cone' if cone else 'integer'} valuation: "
         + ", ".join(f"{k} = {v}" for k, v in sorted(refutation.items()))
     )
     return True

@@ -15,15 +15,26 @@ stopped at the first identity path), tested against a brute-force closure.
 Every entry point takes only its query; the one resource limit is WORD_CAP,
 past which distribution raises GnfSizeError rather than truncating.
 
-The package's one evaluator in the integers lives here too: `lanes`
-evaluates a term under a fixed bank of 64 valuations at once, in Z or in its
-negative cone, and `refuting_lanes` sums a goal's sides with it.  Before any
-normal form, `z_refutes` asks them about the term, once per term (cached); Z
-is an abelian l-group, so a positive value refutes t <= e for both oracles.
-It refuses a term with f first, from the term's signature bits.
-Search prunes its goals with the same evaluator (`prover._refuted`), and
-`icrl oracle` reports the first refuting valuation (`refuting_valuation`).
-`clear_caches()` here and `prover.clear_caches()` both empty its cache.
+The package's one lane evaluator lives here too, with two banks of 64
+valuations each, every lane evaluated at once:
+
+* the integer bank: `lanes` evaluates a term in Z or in its negative cone,
+  each variable valued in [-3, 3] (in the cone, -|v|), packed as 16-bit
+  lanes of one int;
+* the chain bank, irl's second: the 4-element chain of `CHAIN_FUSE`, the
+  smallest integral residuated lattice that is not commutative, each
+  variable taking each of its values on 16 lanes; a term is held as three
+  down-set masks, one bit per lane.
+
+`refuting_lanes` asks them whether a goal fails: the sum of its sides in Z
+or the cone, then, for irl, its left product against its right side in the
+chain.  Before any normal form, `z_refutes` asks the integer bank about the
+term, once per term (cached); Z is an abelian l-group, so a positive value
+refutes t <= e for both oracles.  It refuses a term with f first, from the
+term's signature bits.  Search prunes its goals with the same evaluator
+(`prover._refuted`), and `icrl oracle` and `icrl prove` report the first
+refuting integer valuation (`refuting_valuation`).  `clear_caches()` here
+and `prover.clear_caches()` both empty the banks' caches (`clear_banks`).
 """
 
 from __future__ import annotations
@@ -282,10 +293,13 @@ Goal = tuple[tuple[Term, ...], tuple[Term, ...]]
 
 
 def refuting_lanes(goal: Goal, cone: bool) -> int:
-    """The lanes whose valuation makes the goal L => R false, as a mask of
-    their field bits: the sum of L's values exceeds that of R's (an empty
-    side sums to e = f = 0).  0 proves nothing; it is also the answer when
-    the total could leave the lane field."""
+    """The lanes whose valuation makes the goal L => R false, as a mask: the
+    field bits of the lanes of Z or, with `cone`, of its negative cone where
+    the sum of L's values exceeds that of R's (an empty side sums to
+    e = f = 0).  With `cone`, when no such lane is found, the chain lanes
+    where L's product is not below R's formula, one bit each from bit
+    _CHAIN_AT on.  0 proves nothing; it is also the integer banks' answer
+    when the total could leave the lane field."""
     L, R = goal
     total = _BIASES * (1 + len(R) - len(L))
     bound = 0
@@ -293,23 +307,104 @@ def refuting_lanes(goal: Goal, cone: bool) -> int:
         for t in side:
             hit = lanes(t, cone)
             if hit is None:
-                return 0
+                return _chain_refutes(goal) << _CHAIN_AT if cone else 0
             total += sign * hit[0]
             bound += hit[1]
-    if bound > _LIMIT:
-        return 0
-    return _ge_mask(total, _POSITIVE)
+    mask = _ge_mask(total, _POSITIVE) if bound <= _LIMIT else 0
+    if mask or not cone:
+        return mask
+    return _chain_refutes(goal) << _CHAIN_AT
 
 
-def refuting_valuation(goal: Goal) -> dict[str, int] | None:
-    """The bank's first valuation that makes the goal L => R false in Z, by
-    variable name; None when `refuting_lanes` finds none."""
-    mask = refuting_lanes(goal, False)
-    if not mask:
-        return None
+def refuting_valuation(goal: Goal, cone: bool = False) -> dict[str, int] | None:
+    """The bank's first valuation that makes the goal L => R false in Z or,
+    with `cone`, in its negative cone, by variable name; None when
+    `refuting_lanes` finds none there (the chain may still refute it)."""
+    mask = refuting_lanes(goal, cone)
     lane = ((mask & -mask).bit_length() - 1) // _STRIDE
+    if not 0 <= lane < _LANES:
+        return None
     names = set().union(*map(variables, goal[0] + goal[1]))
-    return {name: _bank_values(name)[lane] for name in sorted(names)}
+    values = {name: _bank_values(name)[lane] for name in sorted(names)}
+    return {name: -abs(v) for name, v in values.items()} if cone else values
+
+
+# --- evaluation in the 4-chain -------------------------------------------------
+
+# irl's second bank is the chain 0 < 1 < 2 < 3 = e with this fusion (row a,
+# column b): the smallest integral residuated lattice that is not commutative,
+# so it refutes goals that fail only for lack of commutativity, which the
+# cone cannot.  Every finite integral residuated lattice is a model of irl.
+CHAIN_FUSE = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 2, 2), (0, 1, 2, 3))
+_CHAIN_TOP = len(CHAIN_FUSE) - 1  # e
+_CHAIN_E = (0, 0, 0)
+_CHAIN_AT = _STRIDE * _LANES  # refuting_lanes' chain bits lie above every integer lane
+
+
+@lru_cache(maxsize=4096)
+def _chain_var(name: str) -> tuple[int, int, int]:
+    """A variable's down-set masks: each value of the chain on 16 lanes, in
+    an order shuffled from the crc32 of the name's bytes, as `_bank_values`."""
+    values = [i * (_CHAIN_TOP + 1) // _LANES for i in range(_LANES)]
+    random.Random(zlib.crc32(name.encode("utf-8"))).shuffle(values)
+    return tuple(sum(1 << i for i, v in enumerate(values) if v <= k) for k in range(_CHAIN_TOP))
+
+
+@lru_cache(maxsize=65536)
+def _chain_lanes(t: Term) -> tuple[int, int, int]:
+    """t's value in the chain under each of the bank's 64 valuations, as its
+    down-set masks D_0, D_1, D_2: bit i of D_k is set when the value on lane
+    i is at most k.  f = e, the top.
+
+    Meet is OR and join AND.  Fusion is read off CHAIN_FUSE's maximal pairs
+    (a, b) with a * b <= k: D_k(x * y) is the OR of X_a & Y_b over them
+    (X_3 is every lane).  The residuals are read off the same table: x \\ y
+    exceeds k exactly where x * (k+1) <= y, and x / y where (k+1) * y <= x."""
+    cls = type(t)
+    if cls is Var:
+        return _chain_var(t.name)
+    if cls is ConstE or cls is ConstF:
+        return _CHAIN_E
+    x, y = _chain_lanes(t.l), _chain_lanes(t.r)
+    if cls is Fuse:
+        return _chain_fuse(x, y)
+    (x0, x1, x2), (y0, y1, y2) = x, y
+    if cls is Meet:
+        return x0 | y0, x1 | y1, x2 | y2
+    if cls is Join:
+        return x0 & y0, x1 & y1, x2 & y2
+    if cls is LDiv:  # x \\ y <= k unless x * (k+1) <= y: x >= 2 > y = 0, x >= 2 > y, x > y
+        return y0 & ~x1, y1 & ~x1, (y0 & ~x0) | (y1 & ~x1) | (y2 & ~x2)
+    # x / y <= k unless (k+1) * y <= x: y = 3 > x = 0, y = 1 > x = 0 or y >= 2 > x, y > x
+    return x0 & ~y2, (x0 & y1 & ~y0) | (x1 & ~y1), (x0 & ~y0) | (x1 & ~y1) | (x2 & ~y2)
+
+
+def _chain_fuse(x, y):
+    """The masks of x * y: D_0 from the maximal pairs (0, 3), (3, 0) and
+    (1, 2), D_1 from (1, 3) and (3, 1), D_2 from (2, 3) and (3, 2)."""
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    return x0 | y0 | (x1 & y2), x1 | y1, x2 | y2
+
+
+@lru_cache(maxsize=65536)
+def _chain_product(terms: tuple[Term, ...]) -> tuple[int, int, int]:
+    """The down-set masks of the product of terms; the empty product is e."""
+    out = _CHAIN_E
+    for t in terms:
+        out = _chain_fuse(out, _chain_lanes(t))
+    return out
+
+
+def _chain_refutes(goal: Goal) -> int:
+    """The lanes, one bit each, where the product of L is not below R's one
+    formula: R's value is at most some k that the product exceeds."""
+    L, R = goal
+    if len(R) != 1:
+        return 0
+    p0, p1, p2 = _chain_product(L)
+    r0, r1, r2 = _chain_lanes(R[0])
+    return (r0 & ~p0) | (r1 & ~p1) | (r2 & ~p2)
 
 
 @lru_cache(maxsize=65536)
@@ -353,8 +448,15 @@ def lg_valid_sequent(s: Sequent) -> bool:
     return lg_valid_leq_e(t)
 
 
-def clear_caches():
+def clear_banks():
+    """Empty the banks' caches, which hold terms."""
     lanes.cache_clear()
+    _chain_lanes.cache_clear()
+    _chain_product.cache_clear()
+
+
+def clear_caches():
+    clear_banks()
     z_refutes.cache_clear()
     semigroup_contains_identity.cache_clear()
     lg_valid_leq_e.cache_clear()

@@ -5,9 +5,9 @@ memoized per goal with failure caching for the length of one search call;
 termination needs no loop check because every premise of every rule has
 strictly smaller total complexity (weakening steps must delete a non-empty
 block).  A goal that one of 64 fixed integer valuations refutes fails at
-once, before any rule is tried.  They are evaluated by `lg_oracle.lanes`,
-the package's one evaluator in the integers, in Z or, for irl, in the
-negative cone of Z; `clear_caches()` here empties its cache, as
+once, before any rule is tried.  They are evaluated by lg_oracle's one lane
+evaluator, in Z or, for irl, in the negative cone of Z and then in a
+4-element chain; `clear_caches()` here empties its caches, as
 `lg_oracle.clear_caches()` does.
 
 Two formulations of the oracle-weakening rule are implemented:
@@ -49,6 +49,7 @@ from .terms import (
     Theory,
     check_sequent_for_theory,
     clear_table,
+    enter_subformulas,
     normalize_for_theory,
     parse_sequent,
     print_sequent,
@@ -276,7 +277,14 @@ def _write_proof(p: Proof, nl: str, out: list[str]):
 
 def proof_from_dict(d: dict, theory: Theory) -> Proof:
     """The proof d describes.  Its sequents are read by `parse_sequent`, whose
-    formula table lexes each distinct formula text once per session."""
+    formula table lexes each distinct formula text once per session.  Once
+    the root conclusion is read, every subterm of it is entered there too,
+    so a node whose formulas are subformulas of the root, as in a cut-free
+    proof, is read without lexing."""
+    return _node_from_dict(d, theory, True)
+
+
+def _node_from_dict(d: dict, theory: Theory, root: bool) -> Proof:
     if not isinstance(d, dict):
         raise ValueError("malformed proof node: expected an object")
     try:
@@ -295,10 +303,13 @@ def proof_from_dict(d: dict, theory: Theory) -> Proof:
         if not (typed and isinstance(c.get("oracle"), str)):
             raise ValueError("malformed certificate: expected an oracle name and sequent strings")
         certs = tuple(Certificate(c["oracle"], parse_sequent(s, theory)) for s in sequents)
+    conclusion = parse_sequent(conclusion, theory)
+    if root and premises:
+        enter_subformulas(conclusion, theory)
     return Proof(
-        conclusion=parse_sequent(conclusion, theory),
+        conclusion=conclusion,
         rule=rule,
-        premises=tuple(proof_from_dict(q, theory) for q in premises),
+        premises=tuple(_node_from_dict(q, theory, False) for q in premises),
         certificates=certs,
     )
 
@@ -837,20 +848,22 @@ def _alts_ca(goal, ctx: _Ctx):
 
 # Every theory searched here but irl is sound for the integers with f = e = 0:
 # Z is an l-group, so integrally closed, and a commutative model of ca.  irl is
-# sound for the negative cone of Z, with x \ y = y / x = min(0, y - x).  So a
-# goal that a valuation of lg_oracle's bank makes false there is not derivable, and
-# since search stops at its first success, failing it at once removes only a
-# failing subtree: the proof found is the same.
+# sound for the negative cone of Z, with x \ y = y / x = min(0, y - x), and for
+# every finite integral residuated lattice, such as lg_oracle's 4-element chain,
+# which it is pruned in when the cone refutes nothing.  So a goal that a
+# valuation of lg_oracle's banks makes false is not derivable, and since search
+# stops at its first success, failing it at once removes only a failing
+# subtree: the proof found is the same.
 
 
 def _refuted(goal, cone: bool) -> bool:
-    """True if a valuation of the bank makes the goal L => R false in Z or,
-    with `cone`, in its negative cone.  False proves nothing."""
+    """True if a valuation of the banks makes the goal L => R false in Z or,
+    with `cone`, in its negative cone or the 4-chain.  False proves nothing."""
     return lg_oracle.refuting_lanes(goal, cone) != 0
 
 
 def clear_caches():
-    lg_oracle.lanes.cache_clear()
+    lg_oracle.clear_banks()
     clear_table()  # the terms' formula tables and print_term's cache
 
 

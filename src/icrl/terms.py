@@ -27,9 +27,12 @@ and `hash` are object identity.  Each term also holds its signature bits
 check, the f-to-e substitution, ca's residual normalization and the group
 oracles' refusal of f read them instead of walking the term.
 `parse_sequent` keeps a formula table per theory, from the stripped text of
-each formula of an accepted sequent to its term, and answers from it when
-every formula of a sequent is there.  Each formula table empties itself at
-FORMULA_CAP entries; `clear_table()` empties them all and print_term's cache.
+a formula to its term, and answers from it when every formula of a sequent
+is there.  It has two writers: the parser enters each formula of a sequent
+it accepts, and `enter_subformulas` enters the printed text of every
+subterm of such a sequent, which the parser reads back as that subterm.
+Each formula table empties itself at FORMULA_CAP entries; `clear_table()`
+empties them all and print_term's cache.
 """
 
 from __future__ import annotations
@@ -471,9 +474,10 @@ def parse_sequent(text: str, theory: Theory = Theory.ICRL) -> Sequent:
     The text is split at its one '=>' and at commas.  When the theory's
     formula table holds every piece, stripped, the sequent is built from it
     without lexing.  Otherwise the parser reads the whole text and, when it
-    accepts it with one term per piece, enters each piece.  The parser is
-    the table's only writer, so a text is answered from the table only when
-    the parser would accept it, with the same terms."""
+    accepts it with one term per piece, enters each piece.  The table's
+    other writer, `enter_subformulas`, enters only texts that the parser
+    reads back as their terms, so a text is answered from the table only
+    when the parser would accept it, with the same terms."""
     table = _FORMULAS.setdefault(theory, {})
     sides = text.split("=>")
     if len(sides) != 2:
@@ -493,6 +497,25 @@ def parse_sequent(text: str, theory: Theory = Theory.ICRL) -> Sequent:
         table.update(zip(left, s.left))
         table.update(zip(right, s.right))
     return s
+
+
+def enter_subformulas(s: Sequent, theory: Theory):
+    """Enter print_term(u) -> u into the theory's formula table for every
+    subterm u of s, a sequent that parse_sequent returned for this theory.
+    The parser reads print_term(u) back as u: u's variables are
+    identifiers, its connectives are in the theory's signature, it holds
+    no '/' in ca (it was normalized), and it is no deeper than the formula
+    the parser accepted."""
+    table = _FORMULAS.setdefault(theory, {})
+    if len(table) >= FORMULA_CAP:
+        table.clear()
+    stack = [*s.left, *s.right]
+    while stack:
+        u = stack.pop()
+        table[print_term(u)] = u
+        if isinstance(u, _Binary):
+            stack.append(u.l)
+            stack.append(u.r)
 
 
 def _parse_sequent(text: str, theory: Theory) -> Sequent:

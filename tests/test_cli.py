@@ -10,7 +10,7 @@ from icrl.finmod import algebra_to_dict
 from icrl.prover import proof_from_json
 from icrl.terms import MAX_TERM_DEPTH, Theory, parse_sequent, parse_term, print_term
 from test_terms import depth_chains
-from tests_helpers_oracles import eval_int
+from tests_helpers_oracles import eval_cone, eval_int
 
 
 def run_cli(capsys, *argv):
@@ -44,13 +44,24 @@ def test_prove_reports_the_refuting_integer_valuation(capsys):
         assert payload["lines"][1] == f"refuting integer valuation: x = {val['x']}"
         code, out, _ = run_cli(capsys, "prove", "--theory", th, text)
         assert out.splitlines()[1] == f"refuting integer valuation: x = {val['x']}"
-    # x \ x => e holds in Z, so the bank does not refute it in rl; and Z is
-    # not a model of irl, so irl reports no integer valuation
-    for th, text in (("rl", "x \\ x => e"), ("irl", "x => x * x")):
-        code, out, _ = run_cli(capsys, "prove", "--theory", th, "--format", "json", text)
-        assert code == 1 and "refuting_valuation" not in json.loads(out), (th, text)
-        code, out, _ = run_cli(capsys, "prove", "--theory", th, text)
-        assert out.splitlines() == [f"NOT DERIVABLE: {text} [{th}]"]
+    # x \ x => e holds in Z, so the bank does not refute it in rl
+    code, out, _ = run_cli(capsys, "prove", "--theory", "rl", "--format", "json", "x \\ x => e")
+    assert code == 1 and "refuting_valuation" not in json.loads(out)
+    code, out, _ = run_cli(capsys, "prove", "--theory", "rl", "x \\ x => e")
+    assert out.splitlines() == ["NOT DERIVABLE: x \\ x => e [rl]"]
+    # Z is not a model of irl, but its negative cone is: the valuation lies
+    # below 0, and the left side exceeds the right in the cone
+    text = "x => x * x"
+    code, out, _ = run_cli(capsys, "prove", "--theory", "irl", "--format", "json", text)
+    assert code == 1
+    payload = json.loads(out)
+    val = payload["refuting_valuation"]
+    s = parse_sequent(text, Theory.IRL)
+    left, right = (sum(eval_cone(t, val) for t in side) for side in (s.left, s.right))
+    assert max(val.values()) <= 0 and left > right, val
+    assert payload["lines"][1] == f"refuting negative-cone valuation: x = {val['x']}"
+    code, out, _ = run_cli(capsys, "prove", "--theory", "irl", text)
+    assert out.splitlines()[1] == f"refuting negative-cone valuation: x = {val['x']}"
 
 
 def test_prove_emit_and_check_round_trip(tmp_path, capsys):

@@ -1,16 +1,22 @@
 """`parse_sequent` reads each formula text once per session: a table per
 theory maps the stripped text of every formula of an accepted sequent to its
 term, and a sequent whose formulas are all there is built without lexing.
-The parser is the table's only writer, and the table holds its terms alive,
-so they stay the interned ones and reading from it changes no result."""
+The table has two writers: the parser, for the formulas of each sequent it
+accepts, and `enter_subformulas`, for every subterm of a proof's root, which
+the parser reads back as itself.  The table holds its terms alive, so they
+stay the interned ones and reading from it changes no result."""
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from icrl import prover, terms
+from icrl.prover import proof_from_dict, proof_from_json, proof_to_json, search
 from icrl.terms import (
-    E, F, LDiv, ParseError, RDiv, Theory, Var, parse_sequent, print_sequent, subterms,
+    E, F, LDiv, ParseError, RDiv, Sequent, Theory, Var, parse_leq, parse_sequent, parse_term,
+    print_sequent, print_term, subterms,
 )
 from test_golden_parse import FIXTURE, _inputs
 
@@ -152,3 +158,95 @@ def test_no_hit_returns_a_term_from_before_an_emptying(monkeypatch, parser_calls
                 assert all(_current(t) for t in s.left + s.right), text
             assert print_sequent(s) == want[text]
     assert hits >= 20
+
+
+# --- the second writer: a proof root's subformulas ------------------------------------
+
+
+def _accepted_formulas():
+    """(theory, formula) of every golden parse input that the parser accepts."""
+    for th in Theory:
+        for kind, read in (("term", parse_term), ("sequent", parse_sequent), ("leq", parse_leq)):
+            for text in _inputs(th, kind):
+                try:
+                    out = read(text, th)
+                except ParseError:
+                    continue
+                if isinstance(out, Sequent):
+                    yield from ((th, t) for t in out.left + out.right)
+                else:
+                    yield from ((th, t) for t in (out if isinstance(out, tuple) else (out,)))
+
+
+def test_every_subterm_of_an_accepted_formula_reads_back_as_itself():
+    seen = set()
+    for th, t in _accepted_formulas():
+        for u in subterms(t):
+            if (th, u) not in seen:
+                seen.add((th, u))
+                assert parse_term(print_term(u), th) is u, (th, print_term(u))
+    assert len(seen) > 4000
+    assert {th for th, _ in seen} == set(Theory)
+
+
+def test_golden_proofs_are_lexed_at_few_nodes_besides_the_root(parser_calls):
+    nodes = lexed = 0
+    for case in json.loads(Path(__file__).with_name("golden_proofs.json").read_text("utf-8")):
+        if case["proof"] is not None:
+            prover.clear_caches()
+            del parser_calls[:]
+            nodes += proof_from_json(case["proof"], Theory(case["theory"])).size()
+            lexed += len(parser_calls)
+    # tests/test_proof_json.py checks that each node reads as the parser reads it
+    assert nodes > 800 and lexed < nodes // 2
+
+
+def test_a_cut_free_proof_is_lexed_at_its_root_only(parser_calls):
+    text = "x, y \\ e, (x \\/ y) * z => x * (y \\ e) * (x \\/ y) * z"
+    proof = search(parse_sequent(text, Theory.IRL), Theory.IRL).proof
+    blob = proof_to_json(proof)
+    prover.clear_caches()
+    del parser_calls[:]
+    back = proof_from_json(blob, Theory.IRL)
+    assert parser_calls == [text] and back == proof and back.size() > 5
+
+
+_ROOT = "x, y \\ e => x * (y \\ e)"
+
+
+@pytest.mark.parametrize("bad", [
+    "x * => x",
+    "x, y => x, y",  # every piece is a subformula, but irl takes one on the right
+    "x * (y \\ e)",  # no '=>'
+    "x => y \\ e => x",
+    "x => x # y",
+    "e, f => x",
+])
+def test_a_malformed_node_below_the_root_raises_as_the_parser_does(bad):
+    node = json.loads(proof_to_json(search(parse_sequent(_ROOT), Theory.IRL).proof))
+    node["premises"][0]["conclusion"] = bad
+    with pytest.raises(ParseError) as want:
+        terms._parse_sequent(bad, Theory.IRL)
+    for _ in range(2):  # cold, and with the root's subformulas in the table
+        with pytest.raises(ParseError) as got:
+            proof_from_dict(copy.deepcopy(node), Theory.IRL)
+        assert (str(got.value), got.value.position) == (str(want.value), want.value.position)
+    node["premises"][0] = 5
+    with pytest.raises(ValueError, match="malformed proof node: expected an object"):
+        proof_from_dict(node, Theory.IRL)
+
+
+def test_a_node_outside_the_root_is_read_by_the_parser(parser_calls):
+    prover.clear_caches()
+    d = {
+        "conclusion": _ROOT,
+        "rule": "w",
+        "premises": [
+            {"conclusion": "z => z", "rule": "id"},
+            {"conclusion": "y \\ e => y \\ e", "rule": "id"},
+        ],
+    }
+    p = proof_from_dict(d, Theory.IRL)
+    assert parser_calls == [_ROOT, "z => z"]
+    assert p.premises[0].conclusion == terms._parse_sequent("z => z", Theory.IRL)
+    assert p.premises[1].conclusion.left[0] is LDiv(Var("y"), E)

@@ -1,6 +1,6 @@
 """Proof JSON: the pinned proofs survive a load and a dump byte for byte, a
-load parses every formula as `parse_sequent` does, and wrongly typed fields
-are clean errors."""
+load reads every formula as the parser does, and wrongly typed fields are
+clean errors."""
 
 import json
 from pathlib import Path
@@ -9,7 +9,7 @@ import pytest
 
 from icrl.cli import run
 from icrl.prover import Proof, proof_from_dict, proof_from_json, proof_to_json
-from icrl.terms import Theory, parse_sequent
+from icrl.terms import Theory, _parse_sequent
 
 HERE = Path(__file__).parent
 
@@ -21,10 +21,11 @@ def _golden_proofs():
 
 
 def _same_nodes(p: Proof, d: dict, th: Theory):
-    """p was loaded from d: each node holds what parse_sequent makes of its text."""
-    assert p.conclusion == parse_sequent(d["conclusion"], th), d["conclusion"]
+    """p was loaded from d: each node holds what the parser makes of its text,
+    whether the load read it from the formula table or not."""
+    assert p.conclusion == _parse_sequent(d["conclusion"], th), d["conclusion"]
     certs = d.get("certificate", {"sequents": []})["sequents"]
-    assert [c.sequent for c in p.certificates] == [parse_sequent(s, th) for s in certs]
+    assert [c.sequent for c in p.certificates] == [_parse_sequent(s, th) for s in certs]
     assert len(p.premises) == len(d["premises"])
     for q, e in zip(p.premises, d["premises"]):
         _same_nodes(q, e, th)

@@ -29,6 +29,28 @@ def eval_int(t: Term, valuation: dict[str, int]) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
+def eval_cone(t: Term, valuation: dict[str, int]) -> int:
+    """Scalar evaluation in the negative cone of Z, with f = e = 0 and
+    x \\ y = y / x = min(0, y - x); the reference for `lg_oracle.lanes`
+    with `cone`.  The valuation's values must be at most 0."""
+    if isinstance(t, Var):
+        return valuation[t.name]
+    if isinstance(t, (ConstE, ConstF)):
+        return 0
+    a, b = eval_cone(t.l, valuation), eval_cone(t.r, valuation)
+    if isinstance(t, Meet):
+        return min(a, b)
+    if isinstance(t, Join):
+        return max(a, b)
+    if isinstance(t, Fuse):
+        return a + b
+    if isinstance(t, LDiv):
+        return min(0, b - a)
+    if isinstance(t, RDiv):
+        return min(0, a - b)
+    raise TypeError(f"not a term: {t!r}")
+
+
 @dataclass(frozen=True)
 class GroupNormalForm:
     """Join of meets of group words: joinands outer, meetands inner."""

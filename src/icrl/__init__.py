@@ -10,12 +10,8 @@ workbench for validation, enumeration, and countermodel search.
 """
 
 from .ablg_oracle import (
-    LinearForm,
-    StrictSystem,
-    abelianize,
     ablg_valid_leq_e,
     ablg_valid_sequent,
-    strict_infeasible,
 )
 from .cutelim import eliminate_cuts
 from .finmod import (
@@ -31,7 +27,6 @@ from .lg_oracle import (
     GnfSizeError,
     lg_valid_leq_e,
     lg_valid_sequent,
-    semigroup_contains_identity,
 )
 from .prover import (
     Certificate,
@@ -73,13 +68,8 @@ __all__ = [
     "print_sequent",
     "print_term",
     "GnfSizeError",
-    "semigroup_contains_identity",
     "lg_valid_leq_e",
     "lg_valid_sequent",
-    "LinearForm",
-    "StrictSystem",
-    "abelianize",
-    "strict_infeasible",
     "ablg_valid_leq_e",
     "ablg_valid_sequent",
     "Proof",

@@ -1,10 +1,13 @@
 r"""Validity over all abelian lattice-ordered groups.
 
-Terms abelianize to joins of meets of integer exponent vectors; a meet block
-/\_j c_j <= 0 is valid over the rationals exactly when the strict system
-{<c_j, x> > 0 for all j} is infeasible.  Rational validity coincides with
-abelian l-group validity for these homogeneous inequations, and integer
-points suffice for refutations (scale a rational solution).
+Terms abelianize to joins of meets of integer exponent vectors, each a plain
+sorted tuple of (variable, coefficient) pairs with the zero coefficients left
+out, as a group word is one of (variable, sign) letters; () is the zero
+vector.  A meet block /\_j c_j <= 0 is valid over the rationals exactly when
+the strict system {<c_j, x> > 0 for all j} is infeasible.  Rational
+validity coincides with abelian l-group validity for these homogeneous
+inequations, and integer points suffice for refutations (scale a rational
+solution).
 
 The distribution into join-of-meets form is `lg_oracle.distribute`, the same
 algorithm the l-group oracle runs over free-group words, here run over
@@ -15,95 +18,66 @@ a positive value answers INVALID without a normal form.  The evaluator's
 cache is emptied by `lg_oracle.clear_caches()` and `prover.clear_caches()`,
 not by `clear_caches()` here.
 
-Infeasibility is decided by exact Fourier-Motzkin elimination (integer rows,
-gcd-normalized).  No floating point anywhere; the tests cross-check it
-against Gordan certificates found by an exact phase-1 simplex.
+Infeasibility is decided by exact Fourier-Motzkin elimination, the block's
+vectors read as integer rows, gcd-normalized.  No floating point anywhere;
+the tests cross-check it against Gordan certificates found by an exact
+phase-1 simplex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from . import lg_oracle
 from .terms import E, Fuse, LDiv, Sequent, Term, product_term, subst_f_to_e
 
-
-@dataclass(frozen=True, order=True)
-class LinearForm:
-    """Integer exponent vector; zero coefficients are omitted."""
-
-    coeffs: tuple[tuple[str, int], ...]
-
-    @classmethod
-    def from_dict(cls, d: dict[str, int]) -> "LinearForm":
-        return cls(tuple(sorted((v, c) for v, c in d.items() if c != 0)))
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+Vector = tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class StrictSystem:
-    """Rows read as <row, x> > 0."""
-
-    rows: tuple[LinearForm, ...]
-
-
-def _lf_add(a: LinearForm, b: LinearForm) -> LinearForm:
-    d = dict(a.coeffs)
-    for v, c in b.coeffs:
+def _add(a: Vector, b: Vector) -> Vector:
+    d = dict(a)
+    for v, c in b:
         d[v] = d.get(v, 0) + c
-    return LinearForm.from_dict(d)
+    return tuple(sorted((v, c) for v, c in d.items() if c))
 
 
-def _lf_neg(a: LinearForm) -> LinearForm:
-    return LinearForm(tuple((v, -c) for v, c in a.coeffs))
+def _neg(a: Vector) -> Vector:
+    return tuple((v, -c) for v, c in a)
 
 
-def _lf_gen(name: str) -> LinearForm:
-    return LinearForm(((name, 1),))
-
-
-def abelianize(t: Term) -> tuple[tuple[LinearForm, ...], ...]:
+def abelianize(t: Term) -> tuple[tuple[Vector, ...], ...]:
     """Join-of-meets of exponent vectors: the group normal form, collapsed.
 
     Distributes in the abelian image directly, so the vectors merge during
-    distribution, which keeps intermediate sizes down.
+    distribution, which keeps intermediate sizes down.  A variable's vector
+    is its one-letter group word.
     """
-    blocks = lg_oracle.distribute(t, _lf_gen, LinearForm(()), _lf_add, _lf_neg)
-    return tuple(sorted(tuple(sorted(b, key=lambda f: f.coeffs)) for b in blocks))
+    blocks = lg_oracle.distribute(t, lg_oracle._word_gen, (), _add, _neg)
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
 # --- exact Fourier-Motzkin ----------------------------------------------------
 
 
-def _normalize_row(d: dict[str, int]) -> tuple[tuple[str, int], ...] | None:
-    d = {v: c for v, c in d.items() if c != 0}
-    if not d:
-        return None
+def _normalize_row(pairs) -> Vector | None:
+    """The row of the (variable, coefficient) pairs divided by the gcd of its
+    coefficients; None for the zero row."""
+    row = sorted((v, c) for v, c in pairs if c)
     g = 0
-    for c in d.values():
-        g = gcd(g, abs(c))
-    return tuple(sorted((v, c // g) for v, c in d.items()))
+    for _, c in row:
+        g = gcd(g, c)
+    return tuple((v, c // g) for v, c in row) or None
 
 
-def strict_infeasible(sys: StrictSystem) -> bool:
-    """True iff no rational point makes every row strictly positive.
-
-    Decided by Fourier-Motzkin elimination.
-    """
+def strict_infeasible(block: tuple[Vector, ...]) -> bool:
+    """True iff no rational point x makes <r, x> > 0 for every vector r of
+    the block; decided by Fourier-Motzkin elimination."""
     rows = set()
-    for form in sys.rows:
-        if form.is_zero:
+    for form in block:
+        if not form:
             return True  # 0 > 0
-        rows.add(_normalize_row(form.as_dict()))
-    rows.discard(None)
+        rows.add(_normalize_row(form))
     while rows:
         var = min(r[0][0] for r in rows)
         pos, neg, rest = [], [], set()
@@ -124,7 +98,7 @@ def strict_infeasible(sys: StrictSystem) -> bool:
                     combined[v] = combined.get(v, 0) + c * (-nc)
                 for v, c in n:
                     combined[v] = combined.get(v, 0) + c * pc
-                norm = _normalize_row(combined)
+                norm = _normalize_row(combined.items())
                 if norm is None:
                     return True  # strict combination collapsed to 0 > 0
                 rest.add(norm)
@@ -141,7 +115,7 @@ def ablg_valid_leq_e(t: Term) -> bool:
     if lg_oracle.z_refutes(t):
         return False
     for block in abelianize(t):
-        if not strict_infeasible(StrictSystem(tuple(block))):
+        if not strict_infeasible(block):
             return False
     return True
 

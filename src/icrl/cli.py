@@ -56,8 +56,15 @@ def cmd_prove(args) -> int:
         "max_depth": out.max_depth,
         "lines": [f"{verdict}: {print_sequent(s)} [{th.value}]"],
     }
-    if not out.derivable:  # Z is a model of every theory but irl, its negative cone of irl
-        _add_refutation(payload, s, cone=th is Theory.IRL)
+    # Z is a model of every theory but irl, its negative cone of irl.  What
+    # only irl's 4-chain refutes, the integral algebras up to size 4 refute,
+    # as the chain is one of them
+    if not out.derivable and not _add_refutation(payload, s, cone=th is Theory.IRL):
+        if th is Theory.IRL and lg_oracle.refuting_lanes((s.left, s.right), True):
+            alg, val = finmod.refute(s, 4, *finmod.countermodel_class(th))
+            payload["countermodel"] = {"algebra": finmod.algebra_to_dict(alg), "valuation": val}
+            payload["lines"].append(f"countermodel of size {alg.size}: "
+                                    + ", ".join(f"{k} = {v}" for k, v in sorted(val.items())))
     if out.derivable and args.emit_proof:
         with open(args.emit_proof, "w", encoding="utf-8") as fh:
             fh.write(prover.proof_to_json(out.proof))
@@ -316,7 +323,7 @@ def run(argv=None) -> int:
         return ERROR
     except Exception as e:
         # a crash (even RecursionError on deep nesting) must not read as NEGATIVE
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return ERROR
 
 

@@ -12,8 +12,9 @@ identity in a finitely generated subsemigroup of a free group by worklist
 saturation of a rational-subset automaton (cubic in the words' total length,
 stopped at the first identity path), tested against a brute-force closure.
 
-Every entry point takes only its query; the one resource limit is WORD_CAP,
-past which distribution raises GnfSizeError rather than truncating.
+Every entry point takes only its query; the one resource limit is WORD_CAP:
+distribution raises GnfSizeError, rather than truncating, before it builds
+a join-of-meets that could pass it.
 
 The package's one lane evaluator lives here too, with two banks of 64
 valuations each, every lane evaluated at once:
@@ -96,20 +97,24 @@ def distribute(t: Term, gen, unit, mul, inv) -> frozenset:
 
     Residuals become products with an inverse, so one algorithm serves the
     free group (words) and its abelian image (exponent vectors).  Raises
-    GnfSizeError once the total number of elements exceeds WORD_CAP.
+    GnfSizeError before building a join-of-meets that could hold more than
+    WORD_CAP elements, from the sizes of what it is built from.
     """
 
-    def capped(j):
-        if sum(len(block) for block in j) > WORD_CAP:
-            raise GnfSizeError(f"normal form exceeded the word cap ({WORD_CAP})")
-        return j
+    def check(size):
+        if size > WORD_CAP:
+            raise GnfSizeError(f"normal form would exceed the word cap ({WORD_CAP})")
+
+    def total(j):
+        return sum(map(len, j))
 
     def fuse(a, b):
+        check(total(a) * total(b))
         out = set()
         for m in a:
             for n in b:
                 out.add(frozenset(mul(w, v) for w in m for v in n))
-        return capped(_absorb(frozenset(out)))
+        return _absorb(frozenset(out))
 
     def invert(a):
         # (V_i /\_j w_ij)^-1 = /\_i V_j w_ij^-1, distributed back to join-of-meets
@@ -117,8 +122,8 @@ def distribute(t: Term, gen, unit, mul, inv) -> frozenset:
         out = {frozenset()}
         for m in a:
             inverted = sorted({inv(w) for w in m})
+            check((total(out) + len(out)) * len(inverted))
             out = _absorb({blk | {w} for blk in out for w in inverted})
-            capped(out)
         return frozenset(out)
 
     def go(t):
@@ -130,9 +135,12 @@ def distribute(t: Term, gen, unit, mul, inv) -> frozenset:
             raise ValueError("pointed term: replace f by e before calling a group oracle")
         if isinstance(t, Meet):
             a, b = go(t.l), go(t.r)
-            return capped(_absorb(frozenset(m | n for m in a for n in b)))
+            check(len(b) * total(a) + len(a) * total(b))
+            return _absorb(frozenset(m | n for m in a for n in b))
         if isinstance(t, Join):
-            return capped(_absorb(go(t.l) | go(t.r)))
+            a, b = go(t.l), go(t.r)
+            check(total(a) + total(b))
+            return _absorb(a | b)
         if isinstance(t, Fuse):
             return fuse(go(t.l), go(t.r))
         if isinstance(t, LDiv):

@@ -335,6 +335,9 @@ _BINARY = {
     "/": (4, RDiv),
     "*": (5, Fuse),
 }
+# The printer's operator and level for each constructor: '+' and '->' are
+# only read, so LDiv is printed as '\'.
+_PRINTED = {build: (op, level) for op, (level, build) in _BINARY.items() if op not in ("+", "->")}
 _NON_ASSOCIATIVE = {
     3: "'->' is non-associative; parenthesize chained arrows",
     4: "residuals are non-associative; parenthesize chained \\ or /",
@@ -557,23 +560,11 @@ def parse_leq(text: str, theory: Theory = Theory.ICRL) -> tuple[Term, Term]:
 
 # --- printing -------------------------------------------------------------
 
-_LEVEL_JOIN = 1
-_LEVEL_MEET = 2
-_LEVEL_RESID = 4
-_LEVEL_FUSE = 5
-_LEVEL_ATOM = 7
+_LEVEL_ATOM = 1 + max(level for level, _ in _BINARY.values())  # binds tightest
 
 
 def _level(t: Term) -> int:
-    if isinstance(t, Join):
-        return _LEVEL_JOIN
-    if isinstance(t, Meet):
-        return _LEVEL_MEET
-    if isinstance(t, (LDiv, RDiv)):
-        return _LEVEL_RESID
-    if isinstance(t, Fuse):
-        return _LEVEL_FUSE
-    return _LEVEL_ATOM
+    return _PRINTED[type(t)][1] if isinstance(t, _Binary) else _LEVEL_ATOM
 
 
 @lru_cache(maxsize=65536)
@@ -585,12 +576,10 @@ def print_term(t: Term) -> str:
         return "e"
     if isinstance(t, ConstF):
         return "f"
-    op = {Meet: "/\\", Join: "\\/", Fuse: "*", LDiv: "\\", RDiv: "/"}[type(t)]
-    lvl = _level(t)
-    non_assoc = isinstance(t, (LDiv, RDiv))
+    op, lvl = _PRINTED[type(t)]
     ls = print_term(t.l)
     rs = print_term(t.r)
-    if _level(t.l) < lvl or (non_assoc and _level(t.l) == lvl):
+    if _level(t.l) < lvl or (lvl in _NON_ASSOCIATIVE and _level(t.l) == lvl):
         ls = f"({ls})"
     if _level(t.r) <= lvl:
         rs = f"({rs})"

@@ -8,7 +8,7 @@ import itertools
 import random
 
 from icrl import ablg_oracle, lg_oracle
-from icrl.ablg_oracle import LinearForm, StrictSystem, strict_infeasible
+from icrl.ablg_oracle import strict_infeasible
 from icrl.corpus import gen_proof_with_cuts, gen_sequent, gen_term
 from icrl.cutelim import eliminate_cuts
 from icrl.finmod import check_property, enumerate_algebras, refute
@@ -24,7 +24,7 @@ from icrl.terms import (
     print_term,
     sequent_complexity,
 )
-from tests_helpers_oracles import bfs_identity_oracle, gordan_infeasible
+from tests_helpers_oracles import bfs_identity_oracle, gordan_infeasible, vector
 
 
 def _report(n, text):
@@ -169,11 +169,10 @@ def test_criterion_09_oracle_internal_duality():
     systems = 0
     for _ in range(400):
         rows = tuple(
-            LinearForm.from_dict({v: rng.randint(-3, 3) for v in ("x", "y", "z")[: rng.randint(1, 3)]})
+            vector({v: rng.randint(-3, 3) for v in ("x", "y", "z")[: rng.randint(1, 3)]})
             for _ in range(rng.randint(1, 4))
         )
-        sys_ = StrictSystem(rows)
-        assert strict_infeasible(sys_) == gordan_infeasible(sys_), sys_
+        assert strict_infeasible(rows) == gordan_infeasible(rows), rows
         systems += 1
     conclusive = 0
     for _ in range(250):

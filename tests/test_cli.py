@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from icrl import lg_oracle
+from icrl import cli, finmod, lg_oracle
 from icrl.cli import run
 from icrl.finmod import algebra_to_dict
 from icrl.prover import proof_from_json
@@ -62,6 +62,26 @@ def test_prove_reports_the_refuting_integer_valuation(capsys):
     assert payload["lines"][1] == f"refuting negative-cone valuation: x = {val['x']}"
     code, out, _ = run_cli(capsys, "prove", "--theory", "irl", text)
     assert out.splitlines()[1] == f"refuting negative-cone valuation: x = {val['x']}"
+
+
+def test_prove_reports_a_countermodel_when_only_the_chain_refutes_irl(capsys):
+    # x * y => y * x holds in the negative cone, which is commutative, but
+    # fails in irl's non-commutative 4-chain: the finite algebra stands in
+    text = "x * y => y * x"
+    code, out, _ = run_cli(capsys, "prove", "--theory", "irl", "--format", "json", text)
+    assert code == 1
+    payload = json.loads(out)
+    assert "refuting_valuation" not in payload
+    alg = finmod.algebra_from_dict(payload["countermodel"]["algebra"])
+    val = payload["countermodel"]["valuation"]
+    assert finmod.validate(alg) == []
+    s = parse_sequent(text, Theory.IRL)
+    left, right = (finmod.eval_term(alg, val, side[0]) for side in (s.left, s.right))
+    assert not alg.le(left, right), val
+    line = f"countermodel of size {alg.size}: x = {val['x']}, y = {val['y']}"
+    assert payload["lines"][1:] == [line]
+    code, out, _ = run_cli(capsys, "prove", "--theory", "irl", text)
+    assert out.splitlines()[1:] == [line]
 
 
 def test_prove_emit_and_check_round_trip(tmp_path, capsys):
@@ -202,6 +222,16 @@ def test_crash_exits_with_error_not_negative(capsys):
     code, _, err = run_cli(capsys, "prove", "--theory", "icrl", f"{deep} => x")
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_a_crash_without_a_message_names_its_type(capsys, monkeypatch):
+    def crash(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_prove", crash)
+    code, _, err = run_cli(capsys, "prove", "--theory", "icrl", "x => x")
+    assert code == 2
+    assert err == "error: MemoryError\n"
 
 
 def test_deep_nesting_is_a_parse_error(capsys):

@@ -217,6 +217,29 @@ def test_gnf_size_cap_is_a_hard_error(monkeypatch):
     assert len(to_gnf(t).meetands_by_joinand) == 1024
 
 
+# t * t <= e for t = e /\ (x0 \/ y0) /\ ... /\ (x8 \/ y8): t has 2**9 meet
+# blocks of ten elements each, so t * t would have 2**18 blocks of 100
+_WIDE = " /\\ ".join(["e"] + [f"(x{i} \\/ y{i})" for i in range(9)])
+_CAPPED_SQUARE = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from icrl.cli import run
+sys.exit(run(["oracle", sys.argv[1], "({_WIDE}) * ({_WIDE}) <= e"]))
+"""
+
+
+@pytest.mark.parametrize("oracle", ["lg", "ablg"])
+def test_the_word_cap_is_checked_before_a_product_is_built(oracle):
+    # in a child process with 1 GiB of address space: a cap checked only on
+    # what distribution has built lets this query grow until memory runs out
+    src = os.path.dirname(os.path.dirname(icrl.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    cmd = [sys.executable, "-c", _CAPPED_SQUARE, oracle]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: normal form would exceed the word cap ({lg_oracle.WORD_CAP})\n"
+
+
 def test_pointed_input_rejected():
     from icrl.terms import Theory
 

@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 from fractions import Fraction
 
-from icrl.ablg_oracle import LinearForm, StrictSystem
 from icrl.lg_oracle import GroupWord, _to_jom, concat_words
 from icrl.terms import ConstE, ConstF, Fuse, Join, LDiv, Meet, RDiv, Term, Var
 
@@ -139,12 +138,18 @@ def bfs_identity_oracle(gens, depth: int) -> bool:
     return () in seen
 
 
-def linear_form_of_word(word) -> LinearForm:
+def vector(coeffs: dict[str, int]) -> tuple[tuple[str, int], ...]:
+    """The exponent vector with these coefficients, as `ablg_oracle` holds
+    it: sorted (variable, coefficient) pairs without zero coefficients."""
+    return tuple(sorted((v, c) for v, c in coeffs.items() if c))
+
+
+def vector_of_word(word) -> tuple[tuple[str, int], ...]:
     """The exponent vector of a group word: its image in the free abelian group."""
     d: dict[str, int] = {}
     for v, s in word:
         d[v] = d.get(v, 0) + s
-    return LinearForm.from_dict(d)
+    return vector(d)
 
 
 def _phase1_feasible(eqs: list[list[Fraction]], rhs: list[Fraction]) -> bool:
@@ -198,21 +203,21 @@ def _phase1_feasible(eqs: list[list[Fraction]], rhs: list[Fraction]) -> bool:
     return artificial_mass == 0
 
 
-def gordan_infeasible(sys: StrictSystem) -> bool:
-    """Gordan duality: the strict system is infeasible iff some non-zero
-    non-negative combination of its rows is the zero form.
+def gordan_infeasible(rows: tuple[tuple[tuple[str, int], ...], ...]) -> bool:
+    """Gordan duality: the strict system {<r, x> > 0 for each vector r of
+    rows} is infeasible iff some non-zero non-negative combination of its
+    rows is the zero vector.
 
     An independent cross-check for `ablg_oracle.strict_infeasible`, which
     decides the same question by Fourier-Motzkin elimination.
     """
-    rows = sys.rows
     if not rows:
         return False
-    all_vars = sorted({v for r in rows for v, _ in r.coeffs})
+    all_vars = sorted({v for r in rows for v, _ in r})
     eqs = []
     rhs = []
     for v in all_vars:
-        eqs.append([Fraction(r.as_dict().get(v, 0)) for r in rows])
+        eqs.append([Fraction(dict(r).get(v, 0)) for r in rows])
         rhs.append(Fraction(0))
     eqs.append([Fraction(1)] * len(rows))  # normalization: lambda sums to 1
     rhs.append(Fraction(1))

@@ -168,9 +168,12 @@ def cmd_finmod_validate(args) -> int:
 def cmd_finmod_refute(args) -> int:
     th = theory_from_name(args.theory) if args.theory else None
     if th is not None:
+        if args.cls or args.commutative:
+            raise ValueError("--theory picks the class and commutativity; "
+                             "it cannot be combined with --class or --commutative")
         cls, commutative = finmod.countermodel_class(th)
     else:
-        cls, commutative = args.cls, args.commutative
+        cls, commutative = args.cls or "integral", args.commutative
     s = parse_sequent(args.sequent, th or Theory.ICRL)
     hit = finmod.refute(s, args.max_size, cls, commutative=commutative)
     payload = {
@@ -283,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     fp.set_defaults(func=cmd_finmod_validate)
 
     fp = fsub.add_parser("refute", help="search finite countermodels for a sequent")
-    fp.add_argument("--class", dest="cls", default="integral",
-                    choices=sorted(finmod.MAX_SIZE), help="algebra class to search")
+    fp.add_argument("--class", dest="cls", choices=sorted(finmod.MAX_SIZE),
+                    help="algebra class to search (default: integral)")
     fp.add_argument("--commutative", action="store_true")
     fp.add_argument("--theory", help="pick class and commutativity from a theory instead")
     fp.add_argument("--max-size", type=int, default=4)

@@ -108,14 +108,19 @@ def _entry(key: str, v, bit: bool = False):
 def algebra_from_dict(d: dict) -> FiniteAlgebra:
     """The algebra of a JSON object; `size`, `e`, `f` and every table entry
     must be integers, and every `leq` entry 0 or 1."""
+    if not isinstance(d, dict):
+        raise ValueError("an algebra must be a JSON object")
+    for key in ("size", "e"):
+        if key not in d:
+            raise ValueError(f"missing key {key!r}")
     n = _entry("size", d["size"])
 
     def unflatten(key, bit=False):
         if key not in d or d[key] is None:
             return None
         flat = d[key]
-        if len(flat) != n * n:
-            raise ValueError(f"table {key!r} must have {n * n} entries")
+        if not isinstance(flat, list) or len(flat) != n * n:
+            raise ValueError(f"table {key!r} must be a list of {n * n} entries")
         return _tbl(tuple(_entry(key, flat[i * n + j], bit) for j in range(n)) for i in range(n))
 
     return FiniteAlgebra(
@@ -576,8 +581,9 @@ def _residuals(n, leq, fuse):
 def _finish(n, e, order, fuse, meet=None, join=None):
     """The validated algebra with this order and fusion and its residuals,
     or None.  With a meet the order is stored, and a table that is not a
-    monoid is rejected before the residuals; without one, the residual must
-    induce the order (semi-integrality), and no order is stored."""
+    monoid is rejected before the residuals.  Without one, e is maximal and
+    fusion monotone, so the residual induces the order (x \\ y = e iff
+    x <= y) and none is stored."""
     rng = range(n)
     if meet is not None:
         for x in rng:
@@ -592,8 +598,6 @@ def _finish(n, e, order, fuse, meet=None, join=None):
         return None
     ldiv, rdiv = residuals
     if meet is None:
-        if any((ldiv[x][y] == e) != order[x][y] for x in rng for y in rng):
-            return None
         order = None
     alg = FiniteAlgebra(
         size=n, e=e, leq=order, meet=meet, join=join, fuse=fuse,

@@ -20,6 +20,9 @@ Two formulations of the oracle-weakening rule are implemented:
 
 The two must agree; the corpus suites cross-check them.
 
+Each theory's rules are read off its signature.  The checker compares a
+split-rule node's sides with `assemble_split`'s layout of its premises.
+
 Commutative theories are searched over multiset-quotiented sequents and the
 found derivation is then linearized: rule nodes are emitted in a convenient
 literal order and explicit exchange steps rewrite them into the requested
@@ -85,63 +88,32 @@ ER = "er"
 GENAX_ID = "genax-id"
 GENAX_E = "genax-e"
 
-_BASE_LATTICE = frozenset(
-    {
-        ID,
-        CUT,
-        E_LEFT,
-        E_RIGHT,
-        FUSE_LEFT,
-        FUSE_RIGHT,
-        MEET_LEFT_1,
-        MEET_LEFT_2,
-        MEET_RIGHT,
-        JOIN_LEFT,
-        JOIN_RIGHT_1,
-        JOIN_RIGHT_2,
-        LDIV_LEFT,
-        LDIV_RIGHT,
-        RDIV_LEFT,
-        RDIV_RIGHT,
-    }
-)
-_BASE_MONOID = frozenset(
-    {ID, CUT, E_LEFT, E_RIGHT, FUSE_LEFT, FUSE_RIGHT, LDIV_LEFT, LDIV_RIGHT, RDIV_LEFT, RDIV_RIGHT}
-)
 
-_RULES: dict[Theory, frozenset[str]] = {
-    Theory.RL: _BASE_LATTICE,
-    Theory.IRL: _BASE_LATTICE | {W},
-    Theory.ICRL: _BASE_LATTICE | {LG_W, GENAX_ID, GENAX_E},
-    Theory.CICRL: _BASE_LATTICE | {EL, ABLG_W, GENAX_ID, GENAX_E},
-    Theory.SIRM: _BASE_MONOID | {LG_W, GENAX_ID, GENAX_E},
-    Theory.PSEUDO_BCI: (_BASE_MONOID - {FUSE_LEFT, FUSE_RIGHT}) | {LG_W, GENAX_ID, GENAX_E},
-    Theory.SIRCOM: _BASE_MONOID | {EL, ABLG_W, GENAX_ID, GENAX_E},
-    Theory.BCI: (_BASE_MONOID - {FUSE_LEFT, FUSE_RIGHT}) | {EL, ABLG_W, GENAX_ID, GENAX_E},
-    Theory.CA: frozenset(
-        {
-            ID,
-            CUT,
-            EL,
-            ER,
-            E_LEFT,
-            E_RIGHT,
-            F_LEFT,
-            F_RIGHT,
-            FUSE_LEFT,
-            FUSE_RIGHT,
-            MEET_LEFT_1,
-            MEET_LEFT_2,
-            MEET_RIGHT,
-            JOIN_LEFT,
-            JOIN_RIGHT_1,
-            JOIN_RIGHT_2,
-            ARROW_LEFT,
-            ARROW_RIGHT,
-            ABLG_W,
-        }
-    ),
-}
+def _rules_of(th: Theory) -> frozenset[str]:
+    """The theory's rules, read off its signature and structural rules."""
+    rules = {ID, CUT, E_LEFT, E_RIGHT}
+    if th.has_fuse:
+        rules |= {FUSE_LEFT, FUSE_RIGHT}
+    if th.has_lattice_ops:
+        rules |= {MEET_LEFT_1, MEET_LEFT_2, MEET_RIGHT, JOIN_LEFT, JOIN_RIGHT_1, JOIN_RIGHT_2}
+    if th.pointed:
+        rules |= {F_LEFT, F_RIGHT}
+    if th.multiple_conclusion:  # one arrow for both residuals, and exchange on the right
+        rules |= {ARROW_LEFT, ARROW_RIGHT, ER}
+    else:
+        rules |= {LDIV_LEFT, LDIV_RIGHT, RDIV_LEFT, RDIV_RIGHT}
+    if th.commutative:
+        rules.add(EL)
+    if th.oracle is not None:
+        rules.add(LG_W if th.oracle == "lg" else ABLG_W)
+        if not th.multiple_conclusion:
+            rules |= {GENAX_ID, GENAX_E}
+    if th is Theory.IRL:
+        rules.add(W)
+    return frozenset(rules)
+
+
+_RULES: dict[Theory, frozenset[str]] = {th: _rules_of(th) for th in Theory}
 
 
 def allowed_rules(theory: Theory) -> frozenset[str]:
@@ -197,8 +169,18 @@ SPLIT_RULES: dict[str, SplitRule] = {
     ARROW_LEFT: SplitRule("left", LDiv, lambda t: t.l, lambda t: t.r, "after"),
 }
 
+# The plain axioms: a node, or a goal, L => R with no premises that passes
+# the rule's test.  The checker reads them here; the three search generators
+# read those of their theory, in this order, from `_AXIOMS_OF`.
+PLAIN_AXIOMS: dict[str, Callable] = {
+    ID: lambda L, R: len(L) == 1 and len(R) == 1 and L[0] == R[0],
+    E_RIGHT: lambda L, R: not L and R == (E,),
+    F_LEFT: lambda L, R: L == (F,) and not R,
+}
+_AXIOMS_OF = {th: [(r, a) for r, a in PLAIN_AXIOMS.items() if r in _RULES[th]] for th in Theory}
+
 # The other rule families: every rule is a context rule, a split rule, cut or one of these.
-AXIOMS = frozenset({ID, E_RIGHT, F_LEFT, GENAX_ID, GENAX_E})
+AXIOMS = frozenset({*PLAIN_AXIOMS, GENAX_ID, GENAX_E})
 WEAKENING = frozenset({W, LG_W, ABLG_W})
 EXCHANGE = frozenset({EL, ER})
 
@@ -331,23 +313,13 @@ def _without(seq: tuple, i: int) -> tuple:
 def _analyses(node: Proof, theory: Theory):
     """Yield candidate instantiations of node's rule schema (obligations unchecked)."""
     rule = node.rule
-    concl = node.conclusion
     prem = node.premises
-    L, R = concl.left, concl.right
+    L, R = node.conclusion.left, node.conclusion.right
     multiple = theory.multiple_conclusion
 
-    if rule == ID:
-        if not prem and len(L) == 1 and len(R) == 1 and L[0] == R[0]:
-            yield {}
-        return
-
-    if rule == E_RIGHT:
-        if not prem and not L and R == (E,):
-            yield {}
-        return
-
-    if rule == F_LEFT:
-        if not prem and L == (F,) and R == ():
+    holds = PLAIN_AXIOMS.get(rule)
+    if holds is not None:
+        if not prem and holds(L, R):
             yield {}
         return
 
@@ -392,9 +364,8 @@ def _analyses(node: Proof, theory: Theory):
                 yield {"i": i}
         return
 
-    split = SPLIT_RULES.get(rule)
-    if split is not None:
-        yield from _split_analyses(split, L, R, prem, multiple)
+    if rule in SPLIT_RULES:
+        yield from _split_analyses(rule, L, R, prem, multiple)
         return
 
     if rule == CUT and len(prem) == 2:
@@ -439,10 +410,11 @@ def _analyses(node: Proof, theory: Theory):
                             yield {"a": a, "b": b, "c": c}
 
 
-def _split_analyses(spec: SplitRule, L: tuple, R: tuple, prem: tuple, multiple: bool):
-    """Instances of a split rule: its principal at "i" on its side and, with
-    two premises, premise 1's contexts at "g" on the left and "d" on the
-    right."""
+def _split_analyses(rule: str, L: tuple, R: tuple, prem: tuple, multiple: bool):
+    """Instances of a split rule, each matching the sides `assemble_split` reads
+    off the premises: its principal at "i" on its side and, with two premises,
+    premise 1's contexts at "g" on the left and "d" on the right."""
+    spec = SPLIT_RULES[rule]
     left = spec.side == "left"
     one = spec.ctx in ("front", "back")
     if len(prem) != (1 if one else 2):
@@ -453,35 +425,25 @@ def _split_analyses(spec: SplitRule, L: tuple, R: tuple, prem: tuple, multiple: 
         positions = (0,)
     else:
         return
-    first = prem[0].conclusion
+    first, last = prem[0].conclusion, prem[-1].conclusion
     if not (one or multiple or len(first.right) == 1):
         return
-    last = prem[-1].conclusion
     for i in positions:
         t = L[i] if left else R[i]
         if not isinstance(t, spec.connective):
             continue
-        aux, kept = (spec.aux(t),), (spec.kept(t),)
-        if one:
-            gained = aux + L if spec.ctx == "front" else L + aux
-            if first.left == gained and last.right == kept + R[1:]:
-                yield {"i": i}
-            continue
-        G, D = first.left, first.right[1:]
-        g = {"prefix": 0, "before": i - len(G), "after": i + 1}[spec.ctx]
-        d = 1 if not left else len(R) - len(D)
-        if first.right[:1] != aux or g < 0 or d < 0:
-            continue
-        if L[g : g + len(G)] != G or R[d : d + len(D)] != D:
-            continue
-        rest_l, rest_r = L[:g] + L[g + len(G) :], R[:d] + R[d + len(D) :]
-        if left:
-            j = i if i < g else i - len(G)
-            rest_l = rest_l[:j] + kept + rest_l[j + 1 :]
+        at = i - len(first.left) if spec.ctx == "before" else i  # kept's place, left rules
+        if one:  # the sequences that aux and kept must lead
+            aux_leads = first.left if spec.ctx == "front" else first.left[::-1]
+            kept_leads = first.right
         else:
-            rest_r = kept + rest_r[1:]
-        if last.left == rest_l and last.right == rest_r:
-            yield {"i": i, "g": g, "d": d}
+            aux_leads = first.right
+            kept_leads = last.left[at:] if left else last.right
+        if at < 0 or aux_leads[:1] != (spec.aux(t),) or kept_leads[:1] != (spec.kept(t),):
+            continue
+        if _split_sides(rule, t, prem, at) == (L, R):
+            d = len(last.right) if left else 1
+            yield {"i": i} if one else {"i": i, "g": at + (spec.ctx == "after"), "d": d}
 
 
 class CheckFailure(Exception):
@@ -653,8 +615,9 @@ _CA_MEET_RIGHT = _stage((MEET_RIGHT,))
 
 
 def _context_alts(ctx: _Ctx, goal, stage: tuple[dict, dict], left_positions, right_positions):
-    """Alternatives of the stage's context rules that the theory has, with
-    principals at the given positions of each side."""
+    """Alternatives of the stage's context rules, with principals at the given
+    positions of each side.  The theory has every rule whose connective the
+    goal holds, since `check_sequent_for_theory` passed the root goal."""
     L, R = goal
     left_classes, right_classes = stage
     hits = []
@@ -672,8 +635,6 @@ def _context_alts(ctx: _Ctx, goal, stage: tuple[dict, dict], left_positions, rig
         side = L if left else R
         t = side[i]
         for rule, parts in rules:
-            if rule not in ctx.rules:
-                continue
             goals = []
             for sub in parts(t):
                 if not ctx.multiset:
@@ -690,16 +651,13 @@ def _alts_sequence(goal, ctx: _Ctx):
     L, R = goal
     u = R[0]
     th = ctx.theory
-    rules = ctx.rules
 
-    # axioms
-    if len(L) == 1 and L[0] == u:
-        yield ID, {}, []
-    if not L and u == E:
-        yield E_RIGHT, {}, []
-    if not ctx.explicit and GENAX_E in rules and u == E and ctx.oracle_e(L):
+    for rule, holds in _AXIOMS_OF[th]:
+        if holds(L, R):
+            yield rule, {}, []
+    if not ctx.explicit and GENAX_E in ctx.rules and u == E and ctx.oracle_e(L):
         yield GENAX_E, {"certs": (Sequent(L, (E,)),)}, []
-    if not ctx.explicit and GENAX_ID in rules:
+    if not ctx.explicit and GENAX_ID in ctx.rules:
         for i, t in enumerate(L):
             if t == u and ctx.oracle_e(L[:i]) and ctx.oracle_e(L[i + 1 :]):
                 yield GENAX_ID, {"certs": (Sequent(L[:i], (E,)), Sequent(L[i + 1 :], (E,)))}, []
@@ -711,7 +669,7 @@ def _alts_sequence(goal, ctx: _Ctx):
         yield LDIV_RIGHT, {}, [((u.l,) + L, (u.r,))]
     if isinstance(u, RDiv):
         yield RDIV_RIGHT, {}, [(L + (u.r,), (u.l,))]
-    if W in rules:
+    if W in ctx.rules:
         for i, j in _contiguous_blocks(len(L)):
             yield W, {}, [(L[:i] + L[j:], R)]
     if ctx.explicit and th.oracle is not None:
@@ -736,7 +694,7 @@ def _alts_sequence(goal, ctx: _Ctx):
                     (L[i + 1 : j], (t.r,)),
                     (L[:i] + (t.l,) + L[j:], R),
                 ]
-    if isinstance(u, Fuse) and FUSE_RIGHT in rules:
+    if isinstance(u, Fuse):
         for k in range(len(L) + 1):
             yield FUSE_RIGHT, {}, [(L[:k], (u.l,)), (L[k:], (u.r,))]
 
@@ -745,15 +703,13 @@ def _alts_multiset(goal, ctx: _Ctx):
     L, R = goal  # L sorted; R length 1
     u = R[0]
     th = ctx.theory
-    rules = ctx.rules
 
-    if len(L) == 1 and L[0] == u:
-        yield ID, {}, []
-    if not L and u == E:
-        yield E_RIGHT, {}, []
-    if not ctx.explicit and GENAX_E in rules and u == E and ctx.oracle_e(L):
+    for rule, holds in _AXIOMS_OF[th]:
+        if holds(L, R):
+            yield rule, {}, []
+    if not ctx.explicit and GENAX_E in ctx.rules and u == E and ctx.oracle_e(L):
         yield GENAX_E, {"certs": (Sequent(L, (E,)),)}, []
-    if not ctx.explicit and GENAX_ID in rules:
+    if not ctx.explicit and GENAX_ID in ctx.rules:
         seen = set()
         for t in L:
             if t == u and t not in seen:
@@ -786,7 +742,7 @@ def _alts_multiset(goal, ctx: _Ctx):
                     (sub, (s_aux,)),
                     (_sort_ms(_ms_subtract(rest, sub) + (t_sub,)), R),
                 ]
-    if isinstance(u, Fuse) and FUSE_RIGHT in rules:
+    if isinstance(u, Fuse):
         for sub in _submultisets(L):
             data = {"principal": u, "sub_l": sub, "sub_r": ()}
             yield FUSE_RIGHT, data, [(sub, (u.l,)), (_ms_subtract(L, sub), (u.r,))]
@@ -794,12 +750,9 @@ def _alts_multiset(goal, ctx: _Ctx):
 
 def _alts_ca(goal, ctx: _Ctx):
     L, R = goal  # both sorted multisets
-    if len(L) == 1 and len(R) == 1 and L[0] == R[0]:
-        yield ID, {}, []
-    if not L and R == (E,):
-        yield E_RIGHT, {}, []
-    if L == (F,) and not R:
-        yield F_LEFT, {}, []
+    for rule, holds in _AXIOMS_OF[ctx.theory]:
+        if holds(L, R):
+            yield rule, {}, []
 
     distinctL, distinctR = _first_positions(L), _first_positions(R)
     yield from _context_alts(ctx, goal, _CA_FIRST, distinctL, distinctR)
@@ -895,8 +848,7 @@ def _prove(goal, ctx: _Ctx, depth: int):
 
 
 def _remove_one(seq: tuple, item: Term) -> tuple:
-    i = seq.index(item)
-    return _without(seq, i)
+    return _without(seq, seq.index(item))
 
 
 def _remove_last(seq: tuple, item: Term) -> tuple:
@@ -947,7 +899,7 @@ def _emit_commutative(step: _Step, target_left: tuple, target_right: tuple) -> P
     TL, TR = target_left, target_right
     emit = _emit_commutative
 
-    if rule in (ID, E_RIGHT, F_LEFT):
+    if rule in PLAIN_AXIOMS:
         return Proof(Sequent(TL, TR), rule)
     spec = CONTEXT_RULES.get(rule)
     if spec is not None:
@@ -1001,24 +953,26 @@ def _emit_commutative(step: _Step, target_left: tuple, target_right: tuple) -> P
 
 
 def assemble_split(rule: str, t: Term, premises: tuple[Proof, ...]) -> Proof:
-    """The node of split rule `rule` with principal t, its conclusion read off
-    premises that are laid out as the rule reads them with no context before
-    the principal's block: with one premise, aux at its ctx end of the left
-    side and kept first on the right; with two, aux first on premise 1's
-    right and kept first on premise 2's principal side."""
+    """The node of split rule `rule` with principal t; a left rule's principal block leads."""
+    return Proof(Sequent(*_split_sides(rule, t, premises, 0)), rule, premises)
+
+
+def _split_sides(rule: str, t: Term, premises: tuple[Proof, ...], at: int) -> tuple:
+    """The conclusion's sides, read off premises laid out as the rule reads
+    them: with one, aux at its ctx end of the left side and kept first on the
+    right; with two, aux first on premise 1's right, and kept first on premise
+    2's right or at `at` on its left, where the principal's block goes."""
     spec = SPLIT_RULES[rule]
     last = premises[-1].conclusion
     if len(premises) == 1:
         left = last.left[1:] if spec.ctx == "front" else last.left[:-1]
-        return Proof(Sequent(left, (t,) + last.right[1:]), rule, premises)
+        return left, (t,) + last.right[1:]
     first = premises[0].conclusion
     G, D = first.left, first.right[1:]
     if spec.side == "right":
-        concl = Sequent(G + last.left, (t,) + D + last.right[1:])
-    else:
-        block = G + (t,) if spec.ctx == "before" else (t,) + G
-        concl = Sequent(block + last.left[1:], last.right + D)
-    return Proof(concl, rule, premises)
+        return G + last.left, (t,) + D + last.right[1:]
+    block = G + (t,) if spec.ctx == "before" else (t,) + G
+    return last.left[:at] + block + last.left[at + 1 :], last.right + D
 
 
 # --- entry points ------------------------------------------------------------------

@@ -4,10 +4,10 @@ import sys
 
 import pytest
 
-from icrl import cli, finmod, lg_oracle
+from icrl import cli, finmod, lg_oracle, prover
 from icrl.cli import run
 from icrl.finmod import algebra_to_dict
-from icrl.prover import proof_from_json
+from icrl.prover import Certificate, Proof, proof_from_json
 from icrl.terms import MAX_TERM_DEPTH, Theory, parse_sequent, parse_term, print_term
 from test_terms import depth_chains
 from tests_helpers_oracles import eval_cone, eval_int
@@ -101,6 +101,16 @@ def test_prove_emit_and_check_round_trip(tmp_path, capsys):
     assert code == 1
 
 
+def test_check_reports_a_refuted_certificate(tmp_path, capsys):
+    th = Theory.ICRL
+    p = prover.search(parse_sequent("x, x \\ e, y => y", th), th).proof
+    certs = (Certificate("lg", parse_sequent("x => e", th)), *p.certificates[1:])
+    path = tmp_path / "p.json"
+    path.write_text(prover.proof_to_json(Proof(p.conclusion, p.rule, p.premises, certs)))
+    code, out, _ = run_cli(capsys, "check", "--theory", "icrl", str(path))
+    assert (code, out) == (1, "INVALID at node []: certificate failed re-validation: x => e\n")
+
+
 def test_elimcut_cli(tmp_path, capsys):
     import random
 
@@ -188,6 +198,27 @@ def test_finmod_validate_rejects_non_integer_entries(tmp_path, capsys):
         path.write_text(json.dumps({**two_chain_dict(), key: value}))
         code, out, err = run_cli(capsys, "finmod", "validate", str(path))
         assert (code, out) == (2, "") and repr(key) in err
+    # malformed files: the message names the key, or the JSON object expected
+    without_size = {k: v for k, v in two_chain_dict().items() if k != "size"}
+    for blob, message in (
+        (without_size, "missing key 'size'"),
+        ([two_chain_dict()], "an algebra must be a JSON object"),
+        ({**two_chain_dict(), "meet": 5}, "table 'meet' must be a list of 4 entries"),
+    ):
+        path.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "finmod", "validate", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_finmod_refute_theory_excludes_class_and_commutative(capsys):
+    # an rl algebra refutes x => e, but --theory irl would search integral ones
+    for extra in (("--class", "rl"), ("--commutative",)):
+        code, out, err = run_cli(capsys, "finmod", "refute", "--theory", "irl", *extra, "x => e")
+        assert (code, out) == (2, "") and "cannot be combined" in err
+    code, out, _ = run_cli(capsys, "finmod", "refute", "--class", "rl", "x => e")
+    assert code == 0 and "countermodel" in out
+    code, out, _ = run_cli(capsys, "finmod", "refute", "x => e")  # integral by default
+    assert code == 1 and "no countermodel" in out
 
 
 def test_corpus_run_cli(tmp_path, capsys, monkeypatch):

@@ -6,18 +6,22 @@ from icrl.corpus import _derivable_premise_for, gen_proof_with_cuts, gen_sequent
 from icrl.cutelim import eliminate_cuts
 from icrl.prover import (
     CUT,
+    E_RIGHT,
     ER,
+    GENAX_ID,
     ID,
     JOIN_LEFT,
     JOIN_RIGHT_1,
+    LG_W,
     MEET_LEFT_1,
     MEET_RIGHT,
+    Certificate,
     Proof,
     check_proof,
     make_cut,
     search,
 )
-from icrl.terms import F, Join, LDiv, Meet, Sequent, Theory, Var, parse_sequent, parse_term
+from icrl.terms import E, F, Join, LDiv, Meet, Sequent, Theory, Var, parse_sequent, parse_term
 
 x, y = Var("x"), Var("y")
 
@@ -68,6 +72,31 @@ def test_cut_inside_lgw_block_widens_side_condition():
     assert check_proof(p, th, allow_cut=True)
     q = eliminate_cuts(p, th)
     assert q.conclusion == p.conclusion
+    assert check_proof(q, th, allow_cut=False)
+
+
+@pytest.mark.parametrize(
+    "left, pos, expected, rules",
+    [
+        ("x \\ x, e, y \\ y", 1, "x \\ x, y \\ y => e", [LG_W, LG_W, E_RIGHT]),
+        ("e, y \\ y", 0, "y \\ y => e", [LG_W, E_RIGHT]),
+    ],
+)
+def test_cut_on_the_identity_formula_of_a_generalized_identity(left, pos, expected, rules):
+    # the cut formula e is the identity formula of a hand-built genax-id node:
+    # the reduct re-inserts its validated context around => e by weakening
+    th = Theory.ICRL
+    s = parse_sequent(f"{left} => e", th)
+    certs = (
+        Certificate("lg", Sequent(s.left[:pos], (E,))),
+        Certificate("lg", Sequent(s.left[pos + 1 :], (E,))),
+    )
+    d2 = Proof(s, GENAX_ID, (), certs)
+    p = make_cut(Proof(Sequent((), (E,)), E_RIGHT), d2, pos)
+    assert check_proof(p, th, allow_cut=True)
+    q = eliminate_cuts(p, th)
+    assert q.conclusion == parse_sequent(expected, th)
+    assert [n.rule for n in q.walk()] == rules
     assert check_proof(q, th, allow_cut=False)
 
 

@@ -8,6 +8,7 @@ from icrl.prover import (
     GENAX_ID,
     ID,
     LG_W,
+    Certificate,
     Proof,
     check_proof,
     check_proof_detailed,
@@ -124,6 +125,35 @@ def test_check_proof_examples():
         (Proof(Sequent((x,), (x,)), ID), Proof(Sequent((y,), (y,)), ID)),
     )
     assert check_proof(good, Theory.RL)
+
+
+def test_check_proof_revalidates_certificates():
+    p = search(seq("x, x \\ e, y => y"), Theory.ICRL).proof
+    assert p.rule == GENAX_ID and check_proof(p, Theory.ICRL)
+    first, *rest = p.certificates
+
+    def with_first(cert):
+        return Proof(p.conclusion, p.rule, p.premises, (cert, *rest))
+
+    wrong_oracle = with_first(Certificate("ablg", first.sequent))
+    assert check_proof_detailed(wrong_oracle, Theory.ICRL) == (
+        False, (), "certificate oracle 'ablg' wrong for theory"
+    )
+    refuted = with_first(Certificate("lg", seq("x => e")))
+    assert check_proof_detailed(refuted, Theory.ICRL) == (
+        False, (), "certificate failed re-validation: x => e"
+    )
+    # the failing node is found below the root, with its path
+    root = Proof(Sequent((E, *p.conclusion.left), p.conclusion.right), "e-left", (refuted,))
+    assert check_proof_detailed(root, Theory.ICRL) == (
+        False, (0,), "certificate failed re-validation: x => e"
+    )
+    # a theory without an oracle takes no certificate, even on a node that
+    # needs none
+    certified_id = Proof(Sequent((x,), (x,)), ID, (), (Certificate("lg", seq("x => x")),))
+    assert check_proof_detailed(certified_id, Theory.RL) == (
+        False, (), "certificate oracle 'lg' wrong for theory"
+    )
 
 
 def test_check_proof_cut_gating():

@@ -174,7 +174,9 @@ def cmd_finmod_refute(args) -> int:
         cls, commutative = finmod.countermodel_class(th)
     else:
         cls, commutative = args.cls or "integral", args.commutative
-    s = parse_sequent(args.sequent, th or Theory.ICRL)
+        # Casari algebras interpret f, so their sequents are read in ca's signature
+        th = Theory.CA if cls == "casari" else Theory.ICRL
+    s = parse_sequent(args.sequent, th)
     hit = finmod.refute(s, args.max_size, cls, commutative=commutative)
     payload = {
         "command": "finmod-refute",
@@ -287,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fp = fsub.add_parser("refute", help="search finite countermodels for a sequent")
     fp.add_argument("--class", dest="cls", choices=sorted(finmod.MAX_SIZE),
-                    help="algebra class to search (default: integral)")
+                    help="algebra class to search (default: integral); the sequent is "
+                         "read in ca's signature for casari, in icrl's otherwise")
     fp.add_argument("--commutative", action="store_true")
     fp.add_argument("--theory", help="pick class and commutativity from a theory instead")
     fp.add_argument("--max-size", type=int, default=4)

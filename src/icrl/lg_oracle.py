@@ -9,8 +9,10 @@ exactly when the identity lies in the subsemigroup its words generate.
 That criterion is imported from the ordered-group literature and quarantined
 behind this module: `semigroup_contains_identity` decides membership of the
 identity in a finitely generated subsemigroup of a free group by worklist
-saturation of a rational-subset automaton (cubic in the words' total length,
-stopped at the first identity path), tested against a brute-force closure.
+saturation of a rational-subset automaton built as the words' prefix trie
+(cubic in its states, 2 plus one per distinct non-empty proper prefix of a
+word; stopped at the first identity path), tested against a brute-force
+closure and against saturation of one path per word.
 
 Every entry point takes only its query; the one resource limit is WORD_CAP:
 distribution raises GnfSizeError, rather than truncating, before it builds
@@ -169,14 +171,19 @@ def semigroup_contains_identity(gens: frozenset[GroupWord]) -> bool:
     """True iff some non-empty product of the generators reduces to e.
 
     Decided on a finite automaton over signed letters with epsilon edges that
-    accepts every non-empty concatenation of the generators: each generator
-    is a path of letter edges from state 0 to state 1, and an epsilon edge
-    leads from 1 back to 0.  Saturation adds p =eps=> q whenever
-    p -a-> x =eps*=> y -a^-1-> q, and the identity is such a product exactly
-    when saturation reaches 0 =eps*=> 1.  A worklist pops each pair of eps*
-    once, closes it under transitivity, fires the rule through per-state
-    edge indexes and returns as soon as 0 =eps*=> 1: for n states, at most
-    n^2 pops of O(n) set work each.
+    accepts every non-empty concatenation of the generators: the generators'
+    prefix trie, whose paths from state 0 to state 1 spell exactly the
+    generators, and an epsilon edge from 1 back to 0.  Words share the states
+    of their common prefixes, and a word's last letter leads from the state of
+    its longest proper prefix into 1, so there are 2 + (distinct non-empty
+    proper prefixes) states, at most 2 + sum(|w| - 1); saturating any
+    automaton of the same rational set decides the question (Benois 1969).
+    Saturation adds p =eps=> q whenever p -a-> x =eps*=> y -a^-1-> q, and
+    the identity is such a product exactly when saturation reaches
+    0 =eps*=> 1.  A worklist pops each pair of eps* once, closes it under
+    transitivity, fires the rule through per-state edge indexes and returns
+    as soon as 0 =eps*=> 1: for n states, at most n^2 pops of O(n) set work
+    each.
     """
     if not gens:
         raise ValueError("generator set must be non-empty")
@@ -184,13 +191,23 @@ def semigroup_contains_identity(gens: frozenset[GroupWord]) -> bool:
         return True
     out: list[dict[Letter, list[int]]] = [{}, {}]  # state -> letter -> targets
     into: list[list[tuple[int, Letter]]] = [[], []]  # x -> (p, a^-1) per edge p -a-> x
+    inner: dict[tuple[int, Letter], int] = {}  # (p, a) -> the trie state after p -a->
+
+    def edge(p, a, q):
+        out[p].setdefault(a, []).append(q)
+        into[q].append((p, (a[0], -a[1])))
+
     for word in sorted(gens):
-        path = [0, *range(len(out), len(out) + len(word) - 1), 1]
-        out += [{} for _ in word[1:]]
-        into += [[] for _ in word[1:]]
-        for p, (v, sign), q in zip(path, word, path[1:]):
-            out[p].setdefault((v, sign), []).append(q)
-            into[q].append((p, (v, -sign)))
+        p = 0
+        for a in word[:-1]:
+            q = inner.get((p, a))
+            if q is None:
+                q = inner[p, a] = len(out)
+                out.append({})
+                into.append([])
+                edge(p, a, q)
+            p = q
+        edge(p, word[-1], 1)
     reach: list[set[int]] = [set() for _ in out]  # reach[x]: every y with x =eps*=> y
     back: list[set[int]] = [set() for _ in out]  # back[y]: every x with x =eps*=> y
     work: list[tuple[int, int]] = []
@@ -441,7 +458,7 @@ def lg_valid_leq_e(t: Term) -> bool:
     # smallest block first, in a fixed order: the first invalid block ends the
     # check, so iterating the frozenset would make the work follow the hash seed
     blocks = sorted(jom, key=lambda block: (len(block), sorted(block)))
-    return all(semigroup_contains_identity(frozenset(block)) for block in blocks)
+    return all(semigroup_contains_identity(block) for block in blocks)
 
 
 @lru_cache(maxsize=65536)

@@ -221,6 +221,18 @@ def test_finmod_refute_theory_excludes_class_and_commutative(capsys):
     assert code == 1 and "no countermodel" in out
 
 
+def test_finmod_refute_casari_reads_f(capsys):
+    # --class casari parses in ca's signature, as --theory ca does
+    for how in (("--class", "casari"), ("--theory", "ca")):
+        code, out, _ = run_cli(capsys, "finmod", "refute", *how, "--max-size", "3", "e => f")
+        assert code == 0 and "countermodel of size 2 found" in out
+        code, out, _ = run_cli(capsys, "finmod", "refute", *how, "--max-size", "3", "f => e")
+        assert code == 1 and "no countermodel up to size 3" in out
+    # the other classes keep icrl's signature, which has no f
+    code, out, err = run_cli(capsys, "finmod", "refute", "--class", "integral", "e => f")
+    assert (code, out) == (2, "") and "constant f not allowed in theory icrl" in err
+
+
 def test_corpus_run_cli(tmp_path, capsys, monkeypatch):
     spec = {
         "suites": [

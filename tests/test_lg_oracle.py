@@ -11,6 +11,7 @@ from icrl.corpus import gen_term
 from icrl.lg_oracle import (
     GnfSizeError,
     concat_words,
+    invert_word,
     lg_valid_leq_e,
     lg_valid_sequent,
     semigroup_contains_identity,
@@ -154,6 +155,27 @@ def test_worklist_agrees_with_round_based_saturation_on_random_sets():
         assert semigroup_contains_identity(gens) is rounds_identity_oracle(gens), gens
         large_true += semigroup_contains_identity(gens)
     assert large_true >= 20
+    # sets whose words share trie states, against the reference's one path per
+    # word: a word with some of its proper prefixes, words that differ only in
+    # their last letter, and one-letter words with their inverses
+    letters = [(v, s) for v in "xyz" for s in (1, -1)]
+    for family in ("prefixes", "last letter", "letters"):
+        answers = [0, 0]
+        for _ in range(300):
+            word = next(iter(_random_words(rng, 1, 8)))
+            if family == "prefixes":
+                shared = {word[:i] for i in range(1, len(word)) if rng.random() < 0.5}
+            elif family == "last letter":
+                # no last letter that would cancel against the one before it
+                ends = [(v, s) for v, s in letters if word[-2:-1] != ((v, -s),)]
+                shared = {word[:-1] + (a,) for a in rng.sample(ends, 3)}
+            else:
+                shared = {(a,) for a in rng.sample(letters, 2)}
+                shared |= {invert_word(w) for w in shared if rng.random() < 0.5}
+            gens = frozenset({word} | shared) | _random_words(rng, rng.randint(0, 3), 6)
+            assert semigroup_contains_identity(gens) is rounds_identity_oracle(gens), gens
+            answers[semigroup_contains_identity(gens)] += 1
+        assert min(answers) > 20, (family, answers)
 
 
 def test_worklist_agrees_with_round_based_saturation_on_oracle_blocks(monkeypatch):

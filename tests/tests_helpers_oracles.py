@@ -71,8 +71,10 @@ def rounds_identity_oracle(gens) -> bool:
     """Round-based automaton saturation, the reference for the worklist in
     `lg_oracle.semigroup_contains_identity`.
 
-    Each generator is a path of letter edges from state 0 to state 1, and an
-    epsilon edge leads from 1 back to 0.  Every round recomputes each state's
+    Each generator keeps its own path of letter edges from state 0 to state
+    1, with no state shared between words, and an epsilon edge leads from 1
+    back to 0; so it also cross-checks the oracle's prefix-trie construction,
+    an automaton of the same rational set.  Every round recomputes each state's
     epsilon-closure from scratch and adds an epsilon edge p -> q whenever
     p -a-> r =eps*=> s -a^-1-> q; the rounds stop when one adds nothing, and
     the identity is a product of generators iff 0 =eps*=> 1 then.

@@ -9,9 +9,11 @@ validity coincides with abelian l-group validity for these homogeneous
 inequations, and integer points suffice for refutations (scale a rational
 solution).
 
-The distribution into join-of-meets form is `lg_oracle.distribute`, the same
-algorithm the l-group oracle runs over free-group words, here run over
-exponent vectors (abelianization is a group homomorphism).  Before it runs,
+The distribution into join-of-meets form is `lg_oracle.distributor`, the
+same algorithm the l-group oracle runs over free-group words, here built
+once over exponent vectors (abelianization is a group homomorphism).  It
+caches the form of every proper subterm of a query, never the query's own;
+`clear_caches()` here empties that cache.  Before it runs,
 `lg_oracle.z_refutes` tries the integers, an abelian l-group, under the
 bank of valuations of the package's one integer evaluator, `lg_oracle.lanes`;
 a positive value answers INVALID without a normal form.  The evaluator's
@@ -36,6 +38,10 @@ Vector = tuple[tuple[str, int], ...]
 
 
 def _add(a: Vector, b: Vector) -> Vector:
+    if not a:
+        return b
+    if not b:
+        return a
     d = dict(a)
     for v, c in b:
         d[v] = d.get(v, 0) + c
@@ -46,14 +52,17 @@ def _neg(a: Vector) -> Vector:
     return tuple((v, -c) for v, c in a)
 
 
+# A variable's vector is its one-letter group word.
+_to_vectors = lg_oracle.distributor(lg_oracle._word_gen, (), _add, _neg)
+
+
 def abelianize(t: Term) -> tuple[tuple[Vector, ...], ...]:
     """Join-of-meets of exponent vectors: the group normal form, collapsed.
 
     Distributes in the abelian image directly, so the vectors merge during
-    distribution, which keeps intermediate sizes down.  A variable's vector
-    is its one-letter group word.
+    distribution, which keeps intermediate sizes down.
     """
-    blocks = lg_oracle.distribute(t, lg_oracle._word_gen, (), _add, _neg)
+    blocks = _to_vectors(t)
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
@@ -140,5 +149,8 @@ def ablg_valid_sequent(s: Sequent) -> bool:
 
 
 def clear_caches():
+    """Empty the answers' caches and the vector distributor's
+    (`_to_vectors.cached`)."""
+    _to_vectors.cached.cache_clear()
     ablg_valid_leq_e.cache_clear()
     ablg_valid_sequent.cache_clear()

@@ -16,7 +16,10 @@ closure and against saturation of one path per word.
 
 Every entry point takes only its query; the one resource limit is WORD_CAP:
 distribution raises GnfSizeError, rather than truncating, before it builds
-a join-of-meets that could pass it.
+a join-of-meets that could pass it.  Each group has one `distributor`, here
+over words (`_to_jom`), which caches the forms of the proper subterms of
+every query, so a session distributes each formula once, whichever query
+asks; `clear_caches()` here empties that cache.
 
 The package's one lane evaluator lives here too, with two banks of 64
 valuations each, every lane evaluated at once:
@@ -45,6 +48,7 @@ from __future__ import annotations
 import random
 import zlib
 from functools import lru_cache
+from itertools import groupby
 
 from .terms import (
     HAS_F, ConstE, ConstF, E, Fuse, Join, LDiv, Meet, RDiv, Sequent, Term, Var, product_term,
@@ -83,25 +87,37 @@ def invert_word(w: GroupWord) -> GroupWord:
 
 def _absorb(jom):
     """Drop meet blocks that contain another block: the bigger meet lies
-    below the smaller one, so the join absorbs it."""
-    blocks = sorted(jom, key=len)
+    below the smaller one, so the join absorbs it.  A block is compared only
+    with the kept blocks strictly shorter than it: of two distinct blocks of
+    one length neither contains the other."""
+    if len(jom) < 2:
+        return frozenset(jom)
     kept: list = []
-    for m in blocks:
-        if not any(n <= m for n in kept):
-            kept.append(m)
+    for _, group in groupby(sorted(jom, key=len), len):
+        shorter = tuple(kept)
+        kept += [m for m in group if not any(n <= m for n in shorter)]
     return frozenset(kept)
 
 
-def distribute(t: Term, gen, unit, mul, inv) -> frozenset:
-    """Join-of-meets equal to t, distributed over a group: `gen(name)` is a
+_CONNECTIVES = (Meet, Join, Fuse, LDiv, RDiv)
+
+
+def distributor(gen, unit, mul, inv):
+    """The join-of-meets normal form over one group: `gen(name)` is a
     variable's generator, `unit` the identity, `mul` the product and `inv`
     the inverse.
 
     Residuals become products with an inverse, so one algorithm serves the
-    free group (words) and its abelian image (exponent vectors).  Raises
-    GnfSizeError before building a join-of-meets that could hold more than
-    WORD_CAP elements, from the sizes of what it is built from.
+    free group (words) and its abelian image (exponent vectors).  Returns
+    `form`, which builds a term's join-of-meets from its children's; these
+    come from `form.cached`, an lru cache of the form of every proper
+    subterm met so far, keyed by the interned term.  The term asked is not
+    stored: the oracles cache their answer about it, and its form is the
+    largest and used once.  Raises GnfSizeError before building a
+    join-of-meets that could hold more than WORD_CAP elements, from the
+    sizes of what it is built from.
     """
+    unit_form = frozenset({frozenset({unit})})
 
     def check(size):
         if size > WORD_CAP:
@@ -111,12 +127,17 @@ def distribute(t: Term, gen, unit, mul, inv) -> frozenset:
         return sum(map(len, j))
 
     def fuse(a, b):
+        # every form is absorbed already, so the unit form leaves the other one
+        if a == unit_form:
+            return b
+        if b == unit_form:
+            return a
         check(total(a) * total(b))
         out = set()
         for m in a:
             for n in b:
                 out.add(frozenset(mul(w, v) for w in m for v in n))
-        return _absorb(frozenset(out))
+        return _absorb(out)
 
     def invert(a):
         # (V_i /\_j w_ij)^-1 = /\_i V_j w_ij^-1, distributed back to join-of-meets
@@ -128,39 +149,39 @@ def distribute(t: Term, gen, unit, mul, inv) -> frozenset:
             out = _absorb({blk | {w} for blk in out for w in inverted})
         return frozenset(out)
 
-    def go(t):
-        if isinstance(t, Var):
+    def form(t):
+        cls = type(t)
+        if cls is Var:
             return frozenset({frozenset({gen(t.name)})})
-        if isinstance(t, ConstE):
-            return frozenset({frozenset({unit})})
-        if isinstance(t, ConstF):
+        if cls is ConstE:
+            return unit_form
+        if cls is ConstF:
             raise ValueError("pointed term: replace f by e before calling a group oracle")
-        if isinstance(t, Meet):
-            a, b = go(t.l), go(t.r)
+        if cls not in _CONNECTIVES:
+            raise TypeError(f"not a term: {t!r}")
+        a, b = cached(t.l), cached(t.r)
+        if cls is Meet:
             check(len(b) * total(a) + len(a) * total(b))
-            return _absorb(frozenset(m | n for m in a for n in b))
-        if isinstance(t, Join):
-            a, b = go(t.l), go(t.r)
+            return _absorb({m | n for m in a for n in b})
+        if cls is Join:
             check(total(a) + total(b))
             return _absorb(a | b)
-        if isinstance(t, Fuse):
-            return fuse(go(t.l), go(t.r))
-        if isinstance(t, LDiv):
-            return fuse(invert(go(t.l)), go(t.r))
-        if isinstance(t, RDiv):
-            return fuse(go(t.l), invert(go(t.r)))
-        raise TypeError(f"not a term: {t!r}")
+        if cls is Fuse:
+            return fuse(a, b)
+        if cls is LDiv:
+            return fuse(invert(a), b)
+        return fuse(a, invert(b))
 
-    return go(t)
+    cached = form.cached = lru_cache(maxsize=65536)(form)
+    return form
 
 
 def _word_gen(name: str) -> GroupWord:
     return ((name, 1),)
 
 
-def _to_jom(t: Term):
-    """Join-of-meets of freely reduced words equal to t in every l-group."""
-    return distribute(t, _word_gen, (), concat_words, invert_word)
+# Join-of-meets of freely reduced words equal to t in every l-group.
+_to_jom = distributor(_word_gen, (), concat_words, invert_word)
 
 
 # --- rational-subset automaton ----------------------------------------------
@@ -481,7 +502,10 @@ def clear_banks():
 
 
 def clear_caches():
+    """Empty every cache of this module: the banks', the answers' and
+    the word distributor's (`_to_jom.cached`)."""
     clear_banks()
+    _to_jom.cached.cache_clear()
     z_refutes.cache_clear()
     semigroup_contains_identity.cache_clear()
     lg_valid_leq_e.cache_clear()

@@ -193,12 +193,19 @@ class Certificate:
     sequent: Sequent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Proof:
     conclusion: Sequent
     rule: str
     premises: tuple["Proof", ...] = ()
     certificates: tuple[Certificate, ...] = ()
+
+    def __init__(self, conclusion: Sequent, rule: str, premises: tuple["Proof", ...] = (),
+                 certificates: tuple[Certificate, ...] = ()):
+        _set_conclusion(self, conclusion)
+        _set_rule(self, rule)
+        _set_premises(self, premises)
+        _set_certificates(self, certificates)
 
     def walk(self):
         yield self
@@ -207,6 +214,12 @@ class Proof:
 
     def size(self) -> int:
         return 1 + sum(p.size() for p in self.premises)
+
+
+# A proof node is filled through the slot descriptors, which a frozen
+# dataclass's own __setattr__ refuses, as terms and sequents are.
+_set_conclusion, _set_rule = Proof.conclusion.__set__, Proof.rule.__set__
+_set_premises, _set_certificates = Proof.premises.__set__, Proof.certificates.__set__
 
 
 @dataclass

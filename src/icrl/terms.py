@@ -261,7 +261,7 @@ def theory_from_name(name: str) -> Theory:
         raise ValueError(f"unknown theory {name!r} (expected one of: {valid})") from None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Sequent:
     """left |- right, both tuples of terms.
 
@@ -271,6 +271,14 @@ class Sequent:
 
     left: tuple[Term, ...]
     right: tuple[Term, ...]
+
+    def __init__(self, left: tuple[Term, ...], right: tuple[Term, ...]):
+        _set_left(self, left)
+        _set_right(self, right)
+
+
+# filled through the slot descriptors, as terms are
+_set_left, _set_right = Sequent.left.__set__, Sequent.right.__set__
 
 
 class ParseError(ValueError):

@@ -1,8 +1,12 @@
 """Proof JSON: the pinned proofs survive a load and a dump byte for byte, a
 load reads every formula as the parser does, and wrongly typed fields are
-clean errors."""
+clean errors.  Proof nodes and sequents stay frozen records through copy
+and pickle."""
 
+import copy
 import json
+import pickle
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
@@ -45,6 +49,29 @@ def test_loading_parses_each_formula_as_parse_sequent_does():
         _same_nodes(p, json.loads(blob), th)
         certified += any(q.certificates for q in p.walk())
     assert certified  # certificate sequents are compared too
+
+
+def test_proofs_and_sequents_are_frozen_records():
+    th, blob = next(iter(_golden_proofs()))
+    p = proof_from_json(blob, th)
+    for record in (p, p.conclusion):
+        assert not hasattr(record, "__dict__")
+        for f in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+    twin = proof_from_json(blob, th)
+    assert twin == p and hash(twin) == hash(p) and repr(twin) == repr(p)
+    assert twin.conclusion == p.conclusion and hash(twin.conclusion) == hash(p.conclusion)
+    assert Proof(p.conclusion, p.rule) == Proof(conclusion=p.conclusion, rule=p.rule, premises=())
+
+
+@pytest.mark.parametrize("roundtrip", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_golden_proofs_copy_and_unpickle_equal(roundtrip):
+    for th, blob in _golden_proofs():
+        p = proof_from_json(blob, th)
+        back = roundtrip(p)
+        assert back == p and proof_to_json(back) == blob
 
 
 def test_golden_cut_proofs_load_and_dump_to_the_same_dicts():

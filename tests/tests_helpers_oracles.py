@@ -3,7 +3,8 @@
 from dataclasses import dataclass
 from fractions import Fraction
 
-from icrl.lg_oracle import GroupWord, _to_jom, concat_words
+from icrl import lg_oracle
+from icrl.lg_oracle import GnfSizeError, GroupWord, _to_jom, concat_words, invert_word
 from icrl.terms import ConstE, ConstF, Fuse, Join, LDiv, Meet, RDiv, Term, Var
 
 
@@ -65,6 +66,82 @@ def to_gnf(t: Term) -> GroupNormalForm:
     """Join-of-meets of group words equal to t in every l-group, sorted."""
     jom = _to_jom(t)
     return GroupNormalForm(tuple(sorted(tuple(sorted(m)) for m in jom)))
+
+
+def absorbed(jom) -> frozenset:
+    """The blocks of jom that have no proper subset among the others: the
+    definition that `lg_oracle._absorb` computes."""
+    return frozenset(m for m in jom if not any(n < m for n in jom))
+
+
+def reference_distribute(t: Term, gen, unit, mul, inv) -> frozenset:
+    """The join-of-meets of t over a group, distributed from the leaves on
+    every call, without caches or shortcuts: the reference for
+    `lg_oracle.distributor`, with the same WORD_CAP checks."""
+
+    def check(size):
+        if size > lg_oracle.WORD_CAP:
+            raise GnfSizeError("normal form would exceed the word cap")
+
+    def total(j):
+        return sum(map(len, j))
+
+    def fuse(a, b):
+        check(total(a) * total(b))
+        return absorbed({frozenset(mul(w, v) for w in m for v in n) for m in a for n in b})
+
+    def invert(a):
+        out = {frozenset()}
+        for m in a:
+            inverted = sorted({inv(w) for w in m})
+            check((total(out) + len(out)) * len(inverted))
+            out = absorbed({blk | {w} for blk in out for w in inverted})
+        return frozenset(out)
+
+    def go(t):
+        if isinstance(t, Var):
+            return frozenset({frozenset({gen(t.name)})})
+        if isinstance(t, ConstE):
+            return frozenset({frozenset({unit})})
+        if isinstance(t, ConstF):
+            raise ValueError("pointed term")
+        a, b = go(t.l), go(t.r)
+        if isinstance(t, Meet):
+            check(len(b) * total(a) + len(a) * total(b))
+            return absorbed({m | n for m in a for n in b})
+        if isinstance(t, Join):
+            check(total(a) + total(b))
+            return absorbed(a | b)
+        if isinstance(t, Fuse):
+            return fuse(a, b)
+        if isinstance(t, LDiv):
+            return fuse(invert(a), b)
+        if isinstance(t, RDiv):
+            return fuse(a, invert(b))
+        raise TypeError(f"not a term: {t!r}")
+
+    return go(t)
+
+
+def reference_jom(t: Term) -> frozenset:
+    """Join-of-meets of freely reduced words, as `lg_oracle._to_jom`."""
+    return reference_distribute(t, lambda name: ((name, 1),), (), concat_words, invert_word)
+
+
+def reference_abelianize(t: Term) -> tuple:
+    """Join-of-meets of exponent vectors, sorted, as `ablg_oracle.abelianize`."""
+
+    def add(a, b):
+        d = dict(a)
+        for v, c in b:
+            d[v] = d.get(v, 0) + c
+        return vector(d)
+
+    def neg(a):
+        return tuple((v, -c) for v, c in a)
+
+    blocks = reference_distribute(t, lambda name: ((name, 1),), (), add, neg)
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
 def rounds_identity_oracle(gens) -> bool:

@@ -22,6 +22,10 @@ The two must agree; the corpus suites cross-check them.
 
 Each theory's rules are read off its signature.  The checker compares a
 split-rule node's sides with `assemble_split`'s layout of its premises.
+One generator, `_alternatives`, serves every theory: it tries the axioms,
+the first stage of rule groups in the theory's stage table, the weakenings,
+then the branching stage.  A split rule's premise goals are read off
+`SPLIT_RULES`.
 
 Commutative theories are searched over multiset-quotiented sequents and the
 found derivation is then linearized: rule nodes are emitted in a convenient
@@ -128,8 +132,8 @@ class ContextRule(NamedTuple):
 
 # The context rules: each premise replaces one principal occurrence, in place,
 # by some of its immediate subterms and keeps everything else.  The checker,
-# the three search generators, commutative emission and cut elimination all
-# read these shapes from here.
+# search, commutative emission and cut elimination all read these shapes from
+# here.
 CONTEXT_RULES: dict[str, ContextRule] = {
     E_LEFT: ContextRule("left", ConstE, lambda t: ((),)),
     F_RIGHT: ContextRule("right", ConstF, lambda t: ((),)),
@@ -157,8 +161,8 @@ class SplitRule(NamedTuple):
 # "before" or just "after" the principal, or a "prefix" of it (fuse-right),
 # and D, empty in single-conclusion theories, is the block of the right side
 # just after the principal (fuse-right) or at its back.  Premise 2 keeps the
-# rest, with `kept` in the principal's place.  The checker, commutative
-# emission and cut elimination read these shapes from here.
+# rest, with `kept` in the principal's place.  The checker, search,
+# commutative emission and cut elimination read these shapes from here.
 SPLIT_RULES: dict[str, SplitRule] = {
     LDIV_RIGHT: SplitRule("right", LDiv, lambda t: t.l, lambda t: t.r, "front"),
     RDIV_RIGHT: SplitRule("right", RDiv, lambda t: t.r, lambda t: t.l, "back"),
@@ -170,8 +174,8 @@ SPLIT_RULES: dict[str, SplitRule] = {
 }
 
 # The plain axioms: a node, or a goal, L => R with no premises that passes
-# the rule's test.  The checker reads them here; the three search generators
-# read those of their theory, in this order, from `_AXIOMS_OF`.
+# the rule's test.  The checker reads them here; search reads those of its
+# theory, in this order, from `_AXIOMS_OF`.
 PLAIN_AXIOMS: dict[str, Callable] = {
     ID: lambda L, R: len(L) == 1 and len(R) == 1 and L[0] == R[0],
     E_RIGHT: lambda L, R: not L and R == (E,),
@@ -515,7 +519,7 @@ def analyze_node(node: Proof, theory: Theory) -> dict:
 class _Step:
     rule: str
     data: dict
-    goals: list  # the premise goals, as the alternative generator built them
+    goals: list  # the premise goals, as `_alternatives` built them
     premises: list["_Step"]
 
 
@@ -529,32 +533,30 @@ class _Ctx:
     rules: frozenset = field(init=False)
     multiset: bool = field(init=False)
     cone: bool = field(init=False)  # goals are refuted in the negative cone, not in Z
-    alts: Callable = field(init=False)  # the theory's alternative generator
+    axioms: list = field(init=False)  # the theory's plain axioms, from `_AXIOMS_OF`
+    table: tuple = field(init=False)  # the theory's stages, compiled by `_stage`
+    weakens: bool = field(init=False)  # a weakening step is tried between the stages
 
     def __post_init__(self):
         th = self.theory
         self.rules = allowed_rules(th)
         self.multiset = th.commutative
         self.cone = th is Theory.IRL
-        if th.multiple_conclusion:
-            self.alts = _alts_ca
-        elif th.commutative:
-            self.alts = _alts_multiset
-        else:
-            self.alts = _alts_sequence
+        self.axioms = _AXIOMS_OF[th]
+        self.table = _STAGED[th]
+        self.weakens = self.explicit or W in self.rules or th.multiple_conclusion
 
     def oracle_e(self, terms: tuple[Term, ...]) -> bool:
         return oracle_valid(self.theory.oracle, Sequent(terms, (E,)))
 
-    def oracle_seq(self, left: tuple[Term, ...], right: tuple[Term, ...]) -> bool:
-        return oracle_valid(self.theory.oracle, Sequent(left, right))
 
-
-def _sort_ms(terms) -> tuple[Term, ...]:
-    return tuple(sorted(terms, key=print_term))
+def _sort_ms(terms: tuple) -> tuple[Term, ...]:
+    return tuple(sorted(terms, key=print_term)) if len(terms) > 1 else terms
 
 
 def _ms_subtract(ms: tuple, sub: tuple) -> tuple:
+    if not sub:
+        return ms
     out = list(ms)
     for t in sub:
         out.remove(t)
@@ -563,9 +565,6 @@ def _ms_subtract(ms: tuple, sub: tuple) -> tuple:
 
 def _submultisets(ms: tuple):
     """All sub-multisets of a sorted tuple, distinct as multisets."""
-    if not ms:
-        yield ()
-        return
     # group equal elements, choose a count for each group
     groups: list[tuple[Term, int]] = []
     for t in ms:
@@ -586,228 +585,186 @@ def _submultisets(ms: tuple):
     yield from go(0)
 
 
-def _contiguous_blocks(n: int):
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            yield i, j
-
-
-# Alternative generators yield (rule, data, premise_goals).  Goals are
-# (left, right) pairs; multiset modes keep both sides sorted.  Steps keep the
-# premise goals, so sequence-mode data carries only oracle certificates.  The
-# order of the alternatives decides which proof is found, so each generator
-# spells out its own order.
-
-
-def _first_positions(seq: tuple) -> list[int]:
+def _first_positions(seq: tuple) -> range | list[int]:
     """Positions of the first occurrence of each distinct term."""
+    if len(seq) < 2:
+        return range(len(seq))
     seen: set[Term] = set()
     return [i for i, t in enumerate(seq) if not (t in seen or seen.add(t))]
 
 
-def _stage(*groups: tuple[str, ...]) -> tuple[dict, dict]:
-    """Context rules in the order a generator tries them: group by group, and
-    within a group each rule in turn at each principal position.  Compiled to
-    a map per side from principal class to (group index, [(rule, parts)])."""
+# The order in which search tries the context and split rules decides which
+# proof it finds.  It is two stages of rule groups, the branching one after the
+# weakenings.  A stage tries its groups in turn, and a group each principal
+# position in turn, its rules in order there.
+_SINGLE_STAGES = (
+    ((E_LEFT,), (FUSE_LEFT,), (MEET_LEFT_1, MEET_LEFT_2), (JOIN_RIGHT_1, JOIN_RIGHT_2),
+     (LDIV_RIGHT, RDIV_RIGHT)),
+    ((JOIN_LEFT,), (MEET_RIGHT,), (LDIV_LEFT, RDIV_LEFT), (FUSE_RIGHT,)),
+)
+_CA_STAGES = (
+    ((E_LEFT,), (F_RIGHT,), (FUSE_LEFT, MEET_LEFT_1, MEET_LEFT_2),
+     (JOIN_RIGHT_1, JOIN_RIGHT_2, ARROW_RIGHT)),
+    ((JOIN_LEFT,), (MEET_RIGHT, FUSE_RIGHT), (ARROW_LEFT,)),
+)
+
+
+def _stage(th: Theory) -> tuple[dict, dict]:
+    """The theory's stages, compiled to a map per side from principal class to
+    (stage, group index, [(rule, context parts or None, split rule or None)]),
+    for the rules the theory has.  Every group is one-sided and no class sits
+    in two groups on one side (`tests/test_structure.py` checks both), so
+    sorting a stage's principals by (group, position) gives its order."""
     by_side: tuple[dict, dict] = ({}, {})
-    for g, group in enumerate(groups):
-        for rule in group:
-            spec = CONTEXT_RULES[rule]
-            entry = by_side[spec.side == "right"].setdefault(spec.connective, (g, []))
-            assert entry[0] == g and spec.side == CONTEXT_RULES[group[0]].side
-            entry[1].append((rule, spec.parts))
+    for s, groups in enumerate(_CA_STAGES if th.multiple_conclusion else _SINGLE_STAGES):
+        for g, group in enumerate(groups):
+            for rule in (r for r in group if r in _RULES[th]):
+                context, split = CONTEXT_RULES.get(rule), SPLIT_RULES.get(rule)
+                spec = context or split
+                entry = by_side[spec.side == "right"].setdefault(spec.connective, (s, g, []))
+                entry[2].append((rule, context.parts if context else None, split))
     return by_side
 
 
-_FIRST = _stage((E_LEFT,), (FUSE_LEFT,), (MEET_LEFT_1, MEET_LEFT_2), (JOIN_RIGHT_1, JOIN_RIGHT_2))
-_BRANCHING = _stage((JOIN_LEFT,), (MEET_RIGHT,))
-_CA_FIRST = _stage((E_LEFT,), (F_RIGHT,), (FUSE_LEFT, MEET_LEFT_1, MEET_LEFT_2))
-_CA_JOIN_RIGHT = _stage((JOIN_RIGHT_1, JOIN_RIGHT_2))
-_CA_JOIN_LEFT = _stage((JOIN_LEFT,))
-_CA_MEET_RIGHT = _stage((MEET_RIGHT,))
+_STAGED = {th: _stage(th) for th in Theory}
 
 
-def _context_alts(ctx: _Ctx, goal, stage: tuple[dict, dict], left_positions, right_positions):
-    """Alternatives of the stage's context rules, with principals at the given
-    positions of each side.  The theory has every rule whose connective the
-    goal holds, since `check_sequent_for_theory` passed the root goal."""
+# The alternatives of a goal are (rule, data, premise goals).  Goals are
+# (left, right) pairs; multiset modes keep both sides sorted.  Steps keep the
+# premise goals, so data carries only the principal, oracle certificates and
+# ablg-w's deleted sub-multisets.
+
+
+def _alternatives(goal, ctx: _Ctx):
+    """Every backward rule step on goal, in the order search tries them: the
+    axioms and generalized axioms, the first stage of the theory's table, the
+    weakenings, then the branching stage.  The theory has every rule whose
+    connective the goal holds, since `check_sequent_for_theory` passed the
+    root goal."""
     L, R = goal
-    left_classes, right_classes = stage
-    hits = []
+    for rule, holds in ctx.axioms:
+        if holds(L, R):
+            yield rule, {}, []
+    if ctx.multiset:
+        left_positions, right_positions = _first_positions(L), _first_positions(R)
+    else:
+        left_positions, right_positions = range(len(L)), (0,)
+    if not ctx.explicit and GENAX_ID in ctx.rules:
+        u = R[0]
+        if u == E and ctx.oracle_e(L):
+            yield GENAX_E, {"certs": (Sequent(L, (E,)),)}, []
+        for i in left_positions:
+            if L[i] != u:
+                continue
+            if ctx.multiset:  # commutative: the rest is one block
+                if ctx.oracle_e(_without(L, i)):
+                    yield GENAX_ID, {"principal": u}, []
+            elif ctx.oracle_e(L[:i]) and ctx.oracle_e(L[i + 1 :]):
+                yield GENAX_ID, {"certs": (Sequent(L[:i], (E,)), Sequent(L[i + 1 :], (E,)))}, []
+
+    left_classes, right_classes = ctx.table
+    staged: tuple[list, list] = ([], [])
     for i in left_positions:
         entry = left_classes.get(type(L[i]))
         if entry is not None:
-            hits.append((entry[0], i, True, entry[1]))
+            staged[entry[0]].append((entry[1], i, True, entry[2]))
     for i in right_positions:
         entry = right_classes.get(type(R[i]))
         if entry is not None:
-            hits.append((entry[0], i, False, entry[1]))
-    if len(hits) > 1:
-        hits.sort()  # by group, then position; no two hits share both
-    for _, i, left, rules in hits:
-        side = L if left else R
-        t = side[i]
-        for rule, parts in rules:
-            goals = []
-            for sub in parts(t):
-                if not ctx.multiset:
-                    new = side[:i] + sub + side[i + 1 :]
-                elif sub:
-                    new = _sort_ms(side[:i] + side[i + 1 :] + sub)
-                else:
-                    new = side[:i] + side[i + 1 :]
-                goals.append((new, R) if left else (L, new))
-            yield rule, {"principal": t}, goals
+            staged[entry[0]].append((entry[1], i, False, entry[2]))
+    split_goals = _split_multiset if ctx.multiset else _split_sequence
+    for stage, hits in enumerate(staged):
+        if stage and ctx.weakens:
+            yield from _weakenings(goal, ctx)
+        if len(hits) > 1:
+            hits.sort()  # by group, then position; no two hits share both
+        for _, i, left, rules in hits:
+            side = L if left else R
+            t = side[i]
+            data = {"principal": t}
+            for rule, parts, split in rules:
+                if split is not None:
+                    for goals in split_goals(split, t, i, goal, ctx):
+                        yield rule, data, goals
+                    continue
+                goals = []
+                for sub in parts(t):
+                    if not ctx.multiset:
+                        new = side[:i] + sub + side[i + 1 :]
+                    elif sub:
+                        new = _sort_ms(side[:i] + side[i + 1 :] + sub)
+                    else:
+                        new = side[:i] + side[i + 1 :]
+                    goals.append((new, R) if left else (L, new))
+                yield rule, data, goals
 
 
-def _alts_sequence(goal, ctx: _Ctx):
+def _split_sequence(spec: SplitRule, t: Term, i: int, goal, ctx: _Ctx):
+    """Premise goals of a split rule on sequences, principal t at i.  Premise
+    1's block of the left side grows from the left: L[k:i] just before the
+    principal, L[i+1:j] just after it, or the prefix L[:k]."""
     L, R = goal
-    u = R[0]
-    th = ctx.theory
-
-    for rule, holds in _AXIOMS_OF[th]:
-        if holds(L, R):
-            yield rule, {}, []
-    if not ctx.explicit and GENAX_E in ctx.rules and u == E and ctx.oracle_e(L):
-        yield GENAX_E, {"certs": (Sequent(L, (E,)),)}, []
-    if not ctx.explicit and GENAX_ID in ctx.rules:
-        for i, t in enumerate(L):
-            if t == u and ctx.oracle_e(L[:i]) and ctx.oracle_e(L[i + 1 :]):
-                yield GENAX_ID, {"certs": (Sequent(L[:i], (E,)), Sequent(L[i + 1 :], (E,)))}, []
-
-    # single-premise rules
-    every = range(len(L))
-    yield from _context_alts(ctx, goal, _FIRST, every, (0,))
-    if isinstance(u, LDiv):
-        yield LDIV_RIGHT, {}, [((u.l,) + L, (u.r,))]
-    if isinstance(u, RDiv):
-        yield RDIV_RIGHT, {}, [(L + (u.r,), (u.l,))]
-    if W in ctx.rules:
-        for i, j in _contiguous_blocks(len(L)):
-            yield W, {}, [(L[:i] + L[j:], R)]
-    if ctx.explicit and th.oracle is not None:
-        rule = LG_W if th.oracle == "lg" else ABLG_W
-        for i, j in _contiguous_blocks(len(L)):
-            block = L[i:j]
-            if ctx.oracle_e(block):
-                yield rule, {"certs": (Sequent(block, (E,)),)}, [(L[:i] + L[j:], R)]
-
-    # branching rules
-    yield from _context_alts(ctx, goal, _BRANCHING, every, (0,))
-    for i, t in enumerate(L):
-        if isinstance(t, LDiv):
-            for k in range(i + 1):
-                yield LDIV_LEFT, {}, [
-                    (L[k:i], (t.l,)),
-                    (L[:k] + (t.r,) + L[i + 1 :], R),
-                ]
-        if isinstance(t, RDiv):
-            for j in range(i + 1, len(L) + 1):
-                yield RDIV_LEFT, {}, [
-                    (L[i + 1 : j], (t.r,)),
-                    (L[:i] + (t.l,) + L[j:], R),
-                ]
-    if isinstance(u, Fuse):
+    aux, kept = (spec.aux(t),), (spec.kept(t),)
+    if spec.ctx == "front":
+        yield [(aux + L, kept)]
+    elif spec.ctx == "back":
+        yield [(L + aux, kept)]
+    elif spec.ctx == "before":
+        for k in range(i + 1):
+            yield [(L[k:i], aux), (L[:k] + kept + L[i + 1 :], R)]
+    elif spec.ctx == "after":
+        for j in range(i + 1, len(L) + 1):
+            yield [(L[i + 1 : j], aux), (L[:i] + kept + L[j:], R)]
+    else:
         for k in range(len(L) + 1):
-            yield FUSE_RIGHT, {}, [(L[:k], (u.l,)), (L[k:], (u.r,))]
+            yield [(L[:k], aux), (L[k:], kept)]
 
 
-def _alts_multiset(goal, ctx: _Ctx):
-    L, R = goal  # L sorted; R length 1
-    u = R[0]
+def _split_multiset(spec: SplitRule, t: Term, i: int, goal, ctx: _Ctx):
+    """Premise goals of a split rule on sorted multisets, principal t at i:
+    t is removed, aux and kept inserted.  With two premises, premise 1 takes
+    each sub-multiset of the left context and, in ca, of the right one."""
+    L, R = goal
+    aux, kept = (spec.aux(t),), (spec.kept(t),)
+    if spec.ctx in ("front", "back"):  # one premise, a right rule
+        yield [(_sort_ms(L + aux), _sort_ms(_without(R, i) + kept))]
+        return
+    left = spec.side == "left"
+    rest_l, rest_r = (_without(L, i), R) if left else (L, _without(R, i))
+    rights = []  # per sub-multiset of the right context, premise 1's right side and premise 2's
+    for sr in _submultisets(rest_r) if ctx.theory.multiple_conclusion else ((),):
+        keep_r = _ms_subtract(rest_r, sr)
+        rights.append((_sort_ms(sr + aux), keep_r if left else _sort_ms(keep_r + kept)))
+    for sl in _submultisets(rest_l):
+        keep_l = _ms_subtract(rest_l, sl)
+        if left:
+            keep_l = _sort_ms(keep_l + kept)
+        for first_r, keep_r in rights:
+            yield [(sl, first_r), (keep_l, keep_r)]
+
+
+def _weakenings(goal, ctx: _Ctx):
+    """The weakening steps of a theory whose context `weakens`: irl's w and
+    explicit lg-w delete a contiguous block of the left side, ablg-w a
+    sub-multiset of it or, in ca, a non-empty pair of sub-multisets, one of
+    each side."""
+    L, R = goal
     th = ctx.theory
-
-    for rule, holds in _AXIOMS_OF[th]:
-        if holds(L, R):
-            yield rule, {}, []
-    if not ctx.explicit and GENAX_E in ctx.rules and u == E and ctx.oracle_e(L):
-        yield GENAX_E, {"certs": (Sequent(L, (E,)),)}, []
-    if not ctx.explicit and GENAX_ID in ctx.rules:
-        seen = set()
-        for t in L:
-            if t == u and t not in seen:
-                seen.add(t)
-                rest = _remove_one(L, t)
-                if ctx.oracle_e(rest):
-                    yield GENAX_ID, {"u": t, "rest": rest}, []
-
-    distinct = _first_positions(L)
-    yield from _context_alts(ctx, goal, _FIRST, distinct, (0,))
-    if isinstance(u, LDiv):
-        yield LDIV_RIGHT, {"principal": u}, [(_sort_ms(L + (u.l,)), (u.r,))]
-    if isinstance(u, RDiv):
-        yield RDIV_RIGHT, {"principal": u}, [(_sort_ms(L + (u.r,)), (u.l,))]
-    if ctx.explicit and th.oracle is not None:
-        for block in _submultisets(L):
-            if block and ctx.oracle_e(block):
-                data = {"del_l": block, "del_r": (), "certs": (Sequent(block, (E,)),)}
-                yield ABLG_W, data, [(_ms_subtract(L, block), R)]
-
-    yield from _context_alts(ctx, goal, _BRANCHING, distinct, (0,))
-    for t in (L[i] for i in distinct):
-        if isinstance(t, (LDiv, RDiv)):
-            rule = LDIV_LEFT if isinstance(t, LDiv) else RDIV_LEFT
-            s_aux = t.l if isinstance(t, LDiv) else t.r
-            t_sub = t.r if isinstance(t, LDiv) else t.l
-            rest = _remove_one(L, t)
-            for sub in _submultisets(rest):
-                yield rule, {"principal": t, "sub_l": sub, "sub_r": ()}, [
-                    (sub, (s_aux,)),
-                    (_sort_ms(_ms_subtract(rest, sub) + (t_sub,)), R),
-                ]
-    if isinstance(u, Fuse):
-        for sub in _submultisets(L):
-            data = {"principal": u, "sub_l": sub, "sub_r": ()}
-            yield FUSE_RIGHT, data, [(sub, (u.l,)), (_ms_subtract(L, sub), (u.r,))]
-
-
-def _alts_ca(goal, ctx: _Ctx):
-    L, R = goal  # both sorted multisets
-    for rule, holds in _AXIOMS_OF[ctx.theory]:
-        if holds(L, R):
-            yield rule, {}, []
-
-    distinctL, distinctR = _first_positions(L), _first_positions(R)
-    yield from _context_alts(ctx, goal, _CA_FIRST, distinctL, distinctR)
-    for i in distinctR:
-        t = R[i]
-        yield from _context_alts(ctx, goal, _CA_JOIN_RIGHT, (), (i,))
-        if isinstance(t, LDiv):
-            rest = _remove_one(R, t)
-            yield ARROW_RIGHT, {"principal": t}, [(_sort_ms(L + (t.l,)), _sort_ms(rest + (t.r,)))]
-
-    # oracle weakening: delete a non-empty pair of sub-multisets
+    if not ctx.multiset:
+        for i in range(len(L)):
+            for j in range(i + 1, len(L) + 1):
+                if W in ctx.rules:
+                    yield W, {}, [(L[:i] + L[j:], R)]
+                elif ctx.oracle_e(L[i:j]):
+                    yield LG_W, {"certs": (Sequent(L[i:j], (E,)),)}, [(L[:i] + L[j:], R)]
+        return
+    rights = list(_submultisets(R)) if th.multiple_conclusion else [()]
     for dl in _submultisets(L):
-        for dr in _submultisets(R):
-            if not dl and not dr:
-                continue
-            if ctx.oracle_seq(dl, dr):
-                yield ABLG_W, {"del_l": dl, "del_r": dr, "certs": (Sequent(dl, dr),)}, [
-                    (_ms_subtract(L, dl), _ms_subtract(R, dr))
-                ]
-
-    yield from _context_alts(ctx, goal, _CA_JOIN_LEFT, distinctL, ())
-    for i in distinctR:
-        t = R[i]
-        yield from _context_alts(ctx, goal, _CA_MEET_RIGHT, (), (i,))
-        if isinstance(t, Fuse):
-            restR = _remove_one(R, t)
-            for sl in _submultisets(L):
-                for sr in _submultisets(restR):
-                    yield FUSE_RIGHT, {"principal": t, "sub_l": sl, "sub_r": sr}, [
-                        (sl, _sort_ms(sr + (t.l,))),
-                        (_ms_subtract(L, sl), _sort_ms(_ms_subtract(restR, sr) + (t.r,))),
-                    ]
-    for t in (L[i] for i in distinctL):
-        if isinstance(t, LDiv):
-            restL = _remove_one(L, t)
-            for sl in _submultisets(restL):
-                for sr in _submultisets(R):
-                    # premise1: sl => t.l, sr     premise2: rest, t.r => R - sr
-                    yield ARROW_LEFT, {"principal": t, "sub_l": sl, "sub_r": sr}, [
-                        (sl, _sort_ms(sr + (t.l,))),
-                        (_sort_ms(_ms_subtract(restL, sl) + (t.r,)), _ms_subtract(R, sr)),
-                    ]
+        for dr in rights:
+            cert = Sequent(dl, dr if th.multiple_conclusion else (E,))
+            if (dl or dr) and oracle_valid(th.oracle, cert):
+                data = {"del_l": dl, "del_r": dr, "certs": (cert,)}
+                yield ABLG_W, data, [(_ms_subtract(L, dl), _ms_subtract(R, dr))]
 
 
 # --- semantic pruning ---------------------------------------------------------------
@@ -842,7 +799,7 @@ def _prove(goal, ctx: _Ctx, depth: int):
         return None
     ctx.nodes += 1
     ctx.max_depth = max(ctx.max_depth, depth)
-    for rule, data, premise_goals in ctx.alts(goal, ctx):
+    for rule, data, premise_goals in _alternatives(goal, ctx):
         premises = []
         for g in premise_goals:
             sub = _prove(g, ctx, depth + 1)
@@ -928,7 +885,7 @@ def _emit_commutative(step: _Step, target_left: tuple, target_right: tuple) -> P
     if rule == GENAX_E:
         return Proof(Sequent(TL, TR), rule, (), (Certificate("ablg", Sequent(TL, (E,))),))
     if rule == GENAX_ID:
-        t = data["u"]
+        t = data["principal"]
         rest = _remove_last(TL, t)
         certs = (
             Certificate("ablg", Sequent(rest, (E,))),
@@ -953,8 +910,9 @@ def _emit_commutative(step: _Step, target_left: tuple, target_right: tuple) -> P
             gained = aux + TL if spec.ctx == "front" else TL + aux
             premises = (emit(step.premises[0], gained, kept + rest_r),)
         else:
-            # premise 1 takes the sub-multisets sub_l => sub_r, premise 2 the rest
-            sl, sr = data["sub_l"], data["sub_r"]
+            # premise 1 takes sub-multisets sl => aux, sr, premise 2 the rest
+            sl, sr = step.goals[0]
+            sr = _remove_one(sr, aux[0])
             left = spec.side == "left"
             rest_l = _ms_subtract(_remove_one(TL, t) if left else TL, sl)
             rest_r = _ms_subtract(TR if left else _remove_one(TR, t), sr)

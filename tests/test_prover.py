@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from icrl import prover
 from icrl.corpus import gen_sequent, gen_term
 from icrl.prover import (
     CUT,
@@ -29,6 +30,7 @@ from icrl.terms import (
     Var,
     parse_sequent,
     parse_term,
+    print_sequent,
 )
 
 x, y = Var("x"), Var("y")
@@ -260,3 +262,65 @@ def test_m_sequent_shape_enforced():
         search(Sequent((parse_term("x /\\ y"),), (E,)), Theory.SIRM)
     with pytest.raises(ValueError):
         search(Sequent((Fuse(x, y),), (E,)), Theory.PSEUDO_BCI)
+
+
+# Every alternative search tries on three goals, in order: a sequence, a
+# cicrl multiset and a ca goal.  Between them they reach every split rule
+# place (front, back, before, after, prefix), the sub-multisets of a
+# multiset context and ca's pairs of left and right sub-multisets.  The
+# golden proofs pin only the first alternative that succeeds.
+ALTERNATIVE_ORDER = {
+    (Theory.RL, "x /\\ y, x \\ y, z / x => y * z"): [
+        "meet-left-1: x, x \\ y, z / x => y * z",
+        "meet-left-2: y, x \\ y, z / x => y * z",
+        "ldiv-left: x /\\ y => x | y, z / x => y * z",
+        "ldiv-left: => x | x /\\ y, y, z / x => y * z",
+        "rdiv-left: => x | x /\\ y, x \\ y, z => y * z",
+        "fuse-right: => y | x /\\ y, x \\ y, z / x => z",
+        "fuse-right: x /\\ y => y | x \\ y, z / x => z",
+        "fuse-right: x /\\ y, x \\ y => y | z / x => z",
+        "fuse-right: x /\\ y, x \\ y, z / x => y | => z",
+    ],
+    (Theory.CICRL, "x, x, y, x \\ y => y \\ x"): [
+        "ldiv-right: x, x, x \\ y, y, y => x",
+        "ldiv-left: => x | x, x, y, y => y \\ x",
+        "ldiv-left: x => x | x, y, y => y \\ x",
+        "ldiv-left: x, x => x | y, y => y \\ x",
+        "ldiv-left: y => x | x, x, y => y \\ x",
+        "ldiv-left: x, y => x | x, y => y \\ x",
+        "ldiv-left: x, x, y => x | y => y \\ x",
+    ],
+    (Theory.CA, "x \\ y, e => x * y, y \\ z"): [
+        "e-left: x \\ y => x * y, y \\ z",
+        "arrow-right: e, x \\ y, y => x * y, z",
+        "ablg-w: x \\ y => x * y, y \\ z",
+        "fuse-right: => x | e, x \\ y => y, y \\ z",
+        "fuse-right: => x, y \\ z | e, x \\ y => y",
+        "fuse-right: e => x | x \\ y => y, y \\ z",
+        "fuse-right: e => x, y \\ z | x \\ y => y",
+        "fuse-right: x \\ y => x | e => y, y \\ z",
+        "fuse-right: x \\ y => x, y \\ z | e => y",
+        "fuse-right: e, x \\ y => x | => y, y \\ z",
+        "fuse-right: e, x \\ y => x, y \\ z | => y",
+        "arrow-left: => x | e, y => x * y, y \\ z",
+        "arrow-left: => x, x * y | e, y => y \\ z",
+        "arrow-left: => x, y \\ z | e, y => x * y",
+        "arrow-left: => x, x * y, y \\ z | e, y => ",
+        "arrow-left: e => x | y => x * y, y \\ z",
+        "arrow-left: e => x, x * y | y => y \\ z",
+        "arrow-left: e => x, y \\ z | y => x * y",
+        "arrow-left: e => x, x * y, y \\ z | y => ",
+    ],
+}
+
+
+@pytest.mark.parametrize("theory, text", list(ALTERNATIVE_ORDER), ids=str)
+def test_alternatives_come_in_the_pinned_order(theory, text):
+    s = seq(text, theory)
+    left = prover._sort_ms(s.left) if theory.commutative else s.left
+    right = prover._sort_ms(s.right) if theory.multiple_conclusion else s.right
+    alternatives = [
+        f"{rule}: " + " | ".join(print_sequent(Sequent(*g)) for g in goals)
+        for rule, _, goals in prover._alternatives((left, right), prover._Ctx(theory, False))
+    ]
+    assert alternatives == ALTERNATIVE_ORDER[theory, text]

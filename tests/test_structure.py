@@ -138,3 +138,28 @@ def test_every_rule_is_in_exactly_one_family():
         for rule in rules:
             homes = [name for name, family in families.items() if rule in family]
             assert len(homes) == 1, (theory, rule, homes)
+
+
+def test_every_stage_table_places_each_rule_once_and_orders_it():
+    # search sorts a stage's principals by (group, position), which gives the
+    # table's order because every group is one-sided and no principal class
+    # sits in two groups on one side
+    staged = set(prover.CONTEXT_RULES) | set(prover.SPLIT_RULES)
+    for theory, rules in prover._RULES.items():
+        stages = prover._CA_STAGES if theory.multiple_conclusion else prover._SINGLE_STAGES
+        groups = [[r for r in group if r in rules] for stage in stages for group in stage]
+        placed = [rule for group in groups for rule in group]
+        assert sorted(placed) == sorted(rules & staged), theory
+        homes = {}
+        for k, group in enumerate(groups):
+            specs = [prover.CONTEXT_RULES.get(r) or prover.SPLIT_RULES[r] for r in group]
+            assert len({spec.side for spec in specs}) <= 1, (theory, group)
+            for spec in specs:
+                assert homes.setdefault((spec.side, spec.connective), k) == k, (theory, group)
+        compiled = [
+            rule
+            for classes in prover._STAGED[theory]
+            for _, _, entries in classes.values()
+            for rule, _, _ in entries
+        ]
+        assert sorted(compiled) == sorted(placed), theory

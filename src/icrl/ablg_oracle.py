@@ -18,7 +18,8 @@ caches the form of every proper subterm of a query, never the query's own;
 bank of valuations of the package's one integer evaluator, `lg_oracle.lanes`;
 a positive value answers INVALID without a normal form.  The evaluator's
 cache is emptied by `lg_oracle.clear_caches()` and `prover.clear_caches()`,
-not by `clear_caches()` here.
+not by `clear_caches()` here.  A sequent becomes a query by
+`lg_oracle.sequent_goal` once f is mapped to e.
 
 Infeasibility is decided by exact Fourier-Motzkin elimination, the block's
 vectors read as integer rows, gcd-normalized.  No floating point anywhere;
@@ -32,7 +33,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import lg_oracle
-from .terms import E, Fuse, LDiv, Sequent, Term, product_term, subst_f_to_e
+from .terms import Sequent, Term, subst_f_to_e
 
 Vector = tuple[tuple[str, int], ...]
 
@@ -129,23 +130,17 @@ def ablg_valid_leq_e(t: Term) -> bool:
     return True
 
 
-def _sequent_goal(s: Sequent) -> Term:
-    """The term t with t <= e valid over abelian l-groups iff s is, both
-    sequent shapes.
+@lru_cache(maxsize=65536)
+def ablg_valid_sequent(s: Sequent) -> bool:
+    """Sequent validity over abelian l-groups, both sequent shapes.
 
     f is identified with e first (abelian l-groups are the pointed algebras
     with f = e), which collapses the right-side sum into a product; the empty
     right side is the empty sum f, hence e after the identification.
     """
-    left = product_term(subst_f_to_e(t) for t in s.left)
-    right = product_term(subst_f_to_e(t) for t in s.right)
-    return Fuse(left, LDiv(right, E))
-
-
-@lru_cache(maxsize=65536)
-def ablg_valid_sequent(s: Sequent) -> bool:
-    """Sequent validity over abelian l-groups, both sequent shapes."""
-    return ablg_valid_leq_e(_sequent_goal(s))
+    left = tuple(subst_f_to_e(t) for t in s.left)
+    right = tuple(subst_f_to_e(t) for t in s.right)
+    return ablg_valid_leq_e(lg_oracle.sequent_goal(left, right))
 
 
 def clear_caches():

@@ -60,7 +60,7 @@ def cmd_prove(args) -> int:
     # only irl's 4-chain refutes, the integral algebras up to size 4 refute,
     # as the chain is one of them
     if not out.derivable and not _add_refutation(payload, s, cone=th is Theory.IRL):
-        if th is Theory.IRL and lg_oracle.refuting_lanes((s.left, s.right), True):
+        if th is Theory.IRL and lg_oracle._chain_refutes((s.left, s.right)):
             alg, val = finmod.refute(s, 4, *finmod.countermodel_class(th))
             payload["countermodel"] = {"algebra": finmod.algebra_to_dict(alg), "valuation": val}
             payload["lines"].append(f"countermodel of size {alg.size}: "

@@ -230,18 +230,7 @@ def gen_proof_with_cuts(rng: random.Random, num_vars: int = 2, depth: int = 2):
     left side donates a cut formula, and a derivable premise for it is found
     among simple candidate contexts.
     """
-    th = rng.choice(
-        [
-            Theory.RL,
-            Theory.IRL,
-            Theory.ICRL,
-            Theory.CICRL,
-            Theory.SIRM,
-            Theory.PSEUDO_BCI,
-            Theory.SIRCOM,
-            Theory.BCI,
-        ]
-    )
+    th = rng.choice([mode for mode in Theory if not mode.multiple_conclusion])
     for _ in range(12):
         s = gen_sequent(rng, num_vars=num_vars, depth=depth, max_left=2,
                         lattice=th.has_lattice_ops, fuse=th.has_fuse)

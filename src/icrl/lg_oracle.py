@@ -14,6 +14,7 @@ saturation of a rational-subset automaton built as the words' prefix trie
 word; stopped at the first identity path), tested against a brute-force
 closure and against saturation of one path per word.
 
+Both group oracles reduce a sequent to one term t <= e by `sequent_goal`.
 Every entry point takes only its query; the one resource limit is WORD_CAP:
 distribution raises GnfSizeError, rather than truncating, before it builds
 a join-of-meets that could pass it.  Each group has one `distributor`, here
@@ -32,15 +33,18 @@ valuations each, every lane evaluated at once:
   variable taking each of its values on 16 lanes; a term is held as three
   down-set masks, one bit per lane.
 
-`refuting_lanes` asks them whether a goal fails: the sum of its sides in Z
-or the cone, then, for irl, its left product against its right side in the
-chain.  Before any normal form, `z_refutes` asks the integer bank about the
-term, once per term (cached); Z is an abelian l-group, so a positive value
-refutes t <= e for both oracles.  It refuses a term with f first, from the
-term's signature bits.  Search prunes its goals with the same evaluator
-(`prover._refuted`), and `icrl oracle` and `icrl prove` report the first
-refuting integer valuation (`refuting_valuation`).  `clear_caches()` here
-and `prover.clear_caches()` both empty the banks' caches (`clear_banks`).
+`refuting_lanes` asks the integer bank whether a goal fails: whether the
+sum of its left side exceeds that of its right side in Z or the cone.
+`_chain_refutes` asks the chain bank whether the goal's left product fails
+to lie below its one right formula; search asks it, for irl, when no
+integer lane refutes.  Before any normal form, `z_refutes` asks the
+integer bank about the term, once per term (cached); Z is an abelian
+l-group, so a positive value refutes t <= e for both oracles.  It refuses
+a term with f first, from the term's signature bits.  Search prunes its
+goals with the same evaluator (`prover._refuted`), and `icrl oracle` and
+`icrl prove` report the first refuting integer valuation
+(`refuting_valuation`).  `clear_caches()` here and `prover.clear_caches()`
+both empty the banks' caches (`clear_banks`).
 """
 
 from __future__ import annotations
@@ -342,10 +346,8 @@ def refuting_lanes(goal: Goal, cone: bool) -> int:
     """The lanes whose valuation makes the goal L => R false, as a mask: the
     field bits of the lanes of Z or, with `cone`, of its negative cone where
     the sum of L's values exceeds that of R's (an empty side sums to
-    e = f = 0).  With `cone`, when no such lane is found, the chain lanes
-    where L's product is not below R's formula, one bit each from bit
-    _CHAIN_AT on.  0 proves nothing; it is also the integer banks' answer
-    when the total could leave the lane field."""
+    e = f = 0).  0 proves nothing; it is also the answer when the total could
+    leave the lane field."""
     L, R = goal
     total = _BIASES * (1 + len(R) - len(L))
     bound = 0
@@ -353,23 +355,20 @@ def refuting_lanes(goal: Goal, cone: bool) -> int:
         for t in side:
             hit = lanes(t, cone)
             if hit is None:
-                return _chain_refutes(goal) << _CHAIN_AT if cone else 0
+                return 0
             total += sign * hit[0]
             bound += hit[1]
-    mask = _ge_mask(total, _POSITIVE) if bound <= _LIMIT else 0
-    if mask or not cone:
-        return mask
-    return _chain_refutes(goal) << _CHAIN_AT
+    return _ge_mask(total, _POSITIVE) if bound <= _LIMIT else 0
 
 
 def refuting_valuation(goal: Goal, cone: bool = False) -> dict[str, int] | None:
     """The bank's first valuation that makes the goal L => R false in Z or,
     with `cone`, in its negative cone, by variable name; None when
-    `refuting_lanes` finds none there (the chain may still refute it)."""
+    `refuting_lanes` finds none."""
     mask = refuting_lanes(goal, cone)
-    lane = ((mask & -mask).bit_length() - 1) // _STRIDE
-    if not 0 <= lane < _LANES:
+    if not mask:
         return None
+    lane = ((mask & -mask).bit_length() - 1) // _STRIDE
     names = set().union(*map(variables, goal[0] + goal[1]))
     values = {name: _bank_values(name)[lane] for name in sorted(names)}
     return {name: -abs(v) for name, v in values.items()} if cone else values
@@ -384,7 +383,6 @@ def refuting_valuation(goal: Goal, cone: bool = False) -> dict[str, int] | None:
 CHAIN_FUSE = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 2, 2), (0, 1, 2, 3))
 _CHAIN_TOP = len(CHAIN_FUSE) - 1  # e
 _CHAIN_E = (0, 0, 0)
-_CHAIN_AT = _STRIDE * _LANES  # refuting_lanes' chain bits lie above every integer lane
 
 
 @lru_cache(maxsize=4096)
@@ -482,16 +480,21 @@ def lg_valid_leq_e(t: Term) -> bool:
     return all(semigroup_contains_identity(block) for block in blocks)
 
 
+def sequent_goal(left: tuple[Term, ...], right: tuple[Term, ...]) -> Term:
+    """The term whose inequation t <= e holds in a group exactly when
+    product(left) <= product(right) does: product(left) when the right
+    product is e, else product(left) * (product(right) \\ e).  Both group
+    oracles reduce their sequents to it."""
+    t, u = product_term(left), product_term(right)
+    return t if u is E else Fuse(t, LDiv(u, E))
+
+
 @lru_cache(maxsize=65536)
 def lg_valid_sequent(s: Sequent) -> bool:
     """Sequent validity over l-groups: product(left) <= right."""
     if len(s.right) != 1:
         raise ValueError("the l-group oracle takes single-conclusion sequents")
-    u = s.right[0]
-    t = product_term(s.left)
-    if not isinstance(u, ConstE):
-        t = Fuse(t, LDiv(u, E))
-    return lg_valid_leq_e(t)
+    return lg_valid_leq_e(sequent_goal(s.left, s.right))
 
 
 def clear_banks():

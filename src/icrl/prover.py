@@ -531,7 +531,6 @@ class _Ctx:
     nodes: int = 0
     max_depth: int = 0
     rules: frozenset = field(init=False)
-    multiset: bool = field(init=False)
     cone: bool = field(init=False)  # goals are refuted in the negative cone, not in Z
     axioms: list = field(init=False)  # the theory's plain axioms, from `_AXIOMS_OF`
     table: tuple = field(init=False)  # the theory's stages, compiled by `_stage`
@@ -540,7 +539,6 @@ class _Ctx:
     def __post_init__(self):
         th = self.theory
         self.rules = allowed_rules(th)
-        self.multiset = th.commutative
         self.cone = th is Theory.IRL
         self.axioms = _AXIOMS_OF[th]
         self.table = _STAGED[th]
@@ -642,10 +640,11 @@ def _alternatives(goal, ctx: _Ctx):
     connective the goal holds, since `check_sequent_for_theory` passed the
     root goal."""
     L, R = goal
+    multiset = ctx.theory.commutative
     for rule, holds in ctx.axioms:
         if holds(L, R):
             yield rule, {}, []
-    if ctx.multiset:
+    if multiset:
         left_positions, right_positions = _first_positions(L), _first_positions(R)
     else:
         left_positions, right_positions = range(len(L)), (0,)
@@ -656,7 +655,7 @@ def _alternatives(goal, ctx: _Ctx):
         for i in left_positions:
             if L[i] != u:
                 continue
-            if ctx.multiset:  # commutative: the rest is one block
+            if multiset:  # commutative: the rest is one block
                 if ctx.oracle_e(_without(L, i)):
                     yield GENAX_ID, {"principal": u}, []
             elif ctx.oracle_e(L[:i]) and ctx.oracle_e(L[i + 1 :]):
@@ -672,7 +671,7 @@ def _alternatives(goal, ctx: _Ctx):
         entry = right_classes.get(type(R[i]))
         if entry is not None:
             staged[entry[0]].append((entry[1], i, False, entry[2]))
-    split_goals = _split_multiset if ctx.multiset else _split_sequence
+    split_goals = _split_multiset if multiset else _split_sequence
     for stage, hits in enumerate(staged):
         if stage and ctx.weakens:
             yield from _weakenings(goal, ctx)
@@ -689,7 +688,7 @@ def _alternatives(goal, ctx: _Ctx):
                     continue
                 goals = []
                 for sub in parts(t):
-                    if not ctx.multiset:
+                    if not multiset:
                         new = side[:i] + sub + side[i + 1 :]
                     elif sub:
                         new = _sort_ms(side[:i] + side[i + 1 :] + sub)
@@ -750,7 +749,7 @@ def _weakenings(goal, ctx: _Ctx):
     each side."""
     L, R = goal
     th = ctx.theory
-    if not ctx.multiset:
+    if not th.commutative:
         for i in range(len(L)):
             for j in range(i + 1, len(L) + 1):
                 if W in ctx.rules:
@@ -782,7 +781,7 @@ def _weakenings(goal, ctx: _Ctx):
 def _refuted(goal, cone: bool) -> bool:
     """True if a valuation of the banks makes the goal L => R false in Z or,
     with `cone`, in its negative cone or the 4-chain.  False proves nothing."""
-    return lg_oracle.refuting_lanes(goal, cone) != 0
+    return bool(lg_oracle.refuting_lanes(goal, cone) or cone and lg_oracle._chain_refutes(goal))
 
 
 def clear_caches():

@@ -18,6 +18,9 @@ ASCII grammar, tightest-binding first:
 Sequents are written  t1, t2, ... => u  with a comma-separated right side in
 multiple-conclusion mode; either side may be empty there.
 
+`Theory`'s members carry each theory mode's signature, sequent shape and
+group oracle as plain attributes, stated once in one table.
+
 Terms are hash-consed in a weak table (Filliâtre & Conchon, "Type-safe
 modular hash-consing", 2006): a constructor called on the arguments of a
 live term returns that term, so equal live terms are one object, and `==`
@@ -209,48 +212,38 @@ F = _new(ConstF)
 class Theory(enum.Enum):
     """The nine supported theory modes.
 
-    The theory fixes the signature, the sequent shape, the structural rules,
-    and which validity oracle (if any) backs the weakening side-condition.
+    The theory fixes the signature (`has_fuse`, `has_lattice_ops`, and f when
+    `pointed`), the sequent shape (`commutative`: multisets; and
+    `multiple_conclusion`), and which validity oracle, "lg", "ablg" or None,
+    backs the weakening side-condition (`oracle`).  Each member's row below
+    states them once, as plain attributes.  Members are singletons, so they
+    hash by identity and the Theory-keyed tables are looked up in C.
     """
 
-    RL = "rl"
-    IRL = "irl"
-    ICRL = "icrl"
-    CICRL = "cicrl"
-    SIRM = "sirm"
-    PSEUDO_BCI = "pseudobci"
-    SIRCOM = "sircom"
-    BCI = "bci"
-    CA = "ca"
+    # value, pointed, commutative, multiple_conclusion, oracle, has_lattice_ops, has_fuse
+    RL = "rl", False, False, False, None, True, True
+    IRL = "irl", False, False, False, None, True, True
+    ICRL = "icrl", False, False, False, "lg", True, True
+    CICRL = "cicrl", False, True, False, "ablg", True, True
+    SIRM = "sirm", False, False, False, "lg", False, True
+    PSEUDO_BCI = "pseudobci", False, False, False, "lg", False, False
+    SIRCOM = "sircom", False, True, False, "ablg", False, True
+    BCI = "bci", False, True, False, "ablg", False, False
+    CA = "ca", True, True, True, "ablg", True, True
 
-    @property
-    def pointed(self) -> bool:
-        return self is Theory.CA
+    def __new__(cls, value, pointed, commutative, multiple_conclusion, oracle,
+                has_lattice_ops, has_fuse):
+        self = object.__new__(cls)
+        self._value_ = value
+        self.pointed = pointed
+        self.commutative = commutative
+        self.multiple_conclusion = multiple_conclusion
+        self.oracle = oracle
+        self.has_lattice_ops = has_lattice_ops
+        self.has_fuse = has_fuse
+        return self
 
-    @property
-    def commutative(self) -> bool:
-        return self in (Theory.CICRL, Theory.SIRCOM, Theory.BCI, Theory.CA)
-
-    @property
-    def multiple_conclusion(self) -> bool:
-        return self is Theory.CA
-
-    @property
-    def oracle(self) -> str | None:
-        """Name of the validity oracle backing the weakening rule."""
-        if self in (Theory.ICRL, Theory.SIRM, Theory.PSEUDO_BCI):
-            return "lg"
-        if self in (Theory.CICRL, Theory.SIRCOM, Theory.BCI, Theory.CA):
-            return "ablg"
-        return None
-
-    @property
-    def has_lattice_ops(self) -> bool:
-        return self in (Theory.RL, Theory.IRL, Theory.ICRL, Theory.CICRL, Theory.CA)
-
-    @property
-    def has_fuse(self) -> bool:
-        return self not in (Theory.PSEUDO_BCI, Theory.BCI)
+    __hash__ = object.__hash__
 
 
 def theory_from_name(name: str) -> Theory:

@@ -2,7 +2,6 @@ import itertools
 import random
 
 from icrl.ablg_oracle import (
-    Fuse,
     abelianize,
     ablg_valid_leq_e,
     ablg_valid_sequent,
@@ -10,7 +9,7 @@ from icrl.ablg_oracle import (
 )
 from icrl import ablg_oracle, lg_oracle
 from icrl.corpus import gen_sequent, gen_term
-from icrl.terms import Sequent, Theory, Var, parse_sequent, parse_term
+from icrl.terms import Fuse, Sequent, Theory, Var, parse_sequent, parse_term
 from tests_helpers_oracles import eval_int, gordan_infeasible, to_gnf, vector, vector_of_word
 
 x, y = Var("x"), Var("y")

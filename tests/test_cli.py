@@ -64,6 +64,19 @@ def test_prove_reports_the_refuting_integer_valuation(capsys):
     assert out.splitlines()[1] == f"refuting negative-cone valuation: x = {val['x']}"
 
 
+def test_oracle_reports_when_the_integer_bank_refutes_nothing(capsys):
+    # a commutator: at most e in every abelian l-group, so Z cannot refute it,
+    # but not in every l-group
+    query = "x * y * (x \\ e) * (y \\ e) <= e"
+    code, out, _ = run_cli(capsys, "oracle", "lg", query)
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "no refutation in the integer bank; instance may need a non-abelian order"
+    ]
+    code, out, _ = run_cli(capsys, "oracle", "ablg", query)
+    assert code == 0 and out.splitlines()[-1] == "VALID"
+
+
 def test_prove_reports_a_countermodel_when_only_the_chain_refutes_irl(capsys):
     # x * y => y * x holds in the negative cone, which is commutative, but
     # fails in irl's non-commutative 4-chain: the finite algebra stands in

@@ -158,6 +158,34 @@ def test_check_property_examples():
     assert check_property(z2, "torsion_free", 2) is False  # a*a = e
 
 
+def non_commutative_chain() -> FiniteAlgebra:
+    # the smallest integral residuated lattices that are not commutative have 4 elements
+    return next(a for a in enumerate_algebras(4, "integral") if not a.is_commutative())
+
+
+def test_check_property_commutativity_and_signatures():
+    chain, z2, chain4 = two_chain(), z2_sirmonoid(), non_commutative_chain()
+    assert check_property(chain, "commutative") is True
+    assert check_property(chain4, "commutative") is False
+    assert check_property(chain, "rl") is True and check_property(z2, "rl") is False
+    assert check_property(z2, "sirmonoid") is True and check_property(chain, "sirmonoid") is False
+    # the residual reduct is a pseudo BCI-algebra; an algebra without residuals has none
+    assert all(check_property(a, "pbci") for a in (chain, z2, chain4))
+    assert check_property(dataclasses.replace(chain, ldiv=None, rdiv=None), "pbci") is False
+    with pytest.raises(ValueError, match="unknown property 'modular'"):
+        check_property(chain, "modular")
+    with pytest.raises(ValueError, match="casari check needs a pointed"):
+        check_property(chain, "casari")
+
+
+def test_is_commutative_without_fusion_compares_the_residuals():
+    # x \ y = y / x for all x, y exactly when fusion commutes
+    for alg, commutative in ((two_chain(), True), (non_commutative_chain(), False)):
+        reduct = FiniteAlgebra(size=alg.size, e=alg.e, ldiv=alg.ldiv, rdiv=alg.rdiv)
+        assert reduct.signature == "pbci"
+        assert reduct.is_commutative() is commutative
+
+
 def test_eval_term_examples():
     chain = two_chain()
     assert eval_term(chain, {"x": 0}, LDiv(x, x)) == chain.e
@@ -302,6 +330,29 @@ def test_rl_countermodels_are_searched_among_all_residuated_lattices():
     assert countermodel_class(Theory.RL) == ("rl", False)
     assert refute(parse_sequent("x => e"), 3, *countermodel_class(Theory.RL)) is not None
     assert refute(parse_sequent("x => e"), 3, *countermodel_class(Theory.IRL)) is None
+
+
+def test_countermodel_class_of_each_theory():
+    assert {th.value: countermodel_class(th) for th in Theory} == {
+        "rl": ("rl", False),
+        "irl": ("integral", False),
+        "icrl": ("integral", False),
+        "cicrl": ("integral", True),
+        "sirm": ("sirmonoid", False),
+        "pseudobci": ("sirmonoid", False),
+        "sircom": ("sirmonoid", True),
+        "bci": ("sirmonoid", True),
+        "ca": ("casari", True),
+    }
+
+
+def test_refute_skips_non_commutative_algebras_when_asked():
+    # x * y => y * x fails only where fusion does not commute
+    s = parse_sequent("x * y => y * x", Theory.IRL)
+    assert refute(s, 4, "integral", commutative=True) is None
+    alg, val = refute(s, 4, "integral", commutative=False)
+    assert not alg.is_commutative()
+    assert not alg.le(eval_term(alg, val, s.left[0]), eval_term(alg, val, s.right[0]))
 
 
 def test_sirmonoid_enumeration_cap():

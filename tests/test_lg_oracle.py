@@ -15,8 +15,9 @@ from icrl.lg_oracle import (
     lg_valid_leq_e,
     lg_valid_sequent,
     semigroup_contains_identity,
+    sequent_goal,
 )
-from icrl.terms import E, Fuse, Join, LDiv, Meet, Sequent, Var, parse_sequent, parse_term
+from icrl.terms import E, F, Fuse, Join, LDiv, Meet, Sequent, Var, parse_sequent, parse_term
 from tests_helpers_oracles import bfs_identity_oracle, eval_int, rounds_identity_oracle, to_gnf
 
 x, y = Var("x"), Var("y")
@@ -83,6 +84,17 @@ def test_lg_valid_sequent_general_right_side():
     assert lg_valid_sequent(parse_sequent("x, y => x * y")) is True
     assert lg_valid_sequent(parse_sequent("x => x \\/ y")) is True
     assert lg_valid_sequent(parse_sequent("x \\/ y => x")) is False
+
+
+def test_sequent_goal_leaves_out_a_right_side_of_e():
+    assert sequent_goal((x, y), (E,)) == Fuse(x, y)
+    assert sequent_goal((x,), ()) is x
+    assert sequent_goal((), (E,)) is E
+    assert sequent_goal((), (x,)) == Fuse(E, LDiv(x, E))
+    assert sequent_goal((x,), (y, x)) == Fuse(x, LDiv(Fuse(y, x), E))
+    # f is not e to the l-group oracle: it reaches z_refutes, which refuses it
+    with pytest.raises(ValueError, match="pointed term"):
+        lg_valid_sequent(Sequent((x,), (F,)))
 
 
 def test_free_reduction_confluence_random_orders():

@@ -1,3 +1,4 @@
+import inspect
 import random
 from dataclasses import FrozenInstanceError
 
@@ -331,3 +332,34 @@ def test_signature_bits_are_what_a_walk_finds():
         ca = normalize_for_theory(t, Theory.CA)
         assert ca._sig == t._sig & ~HAS_RDIV and (ca is t) is not bool(t._sig & HAS_RDIV)
     assert 2000 < refused < 2000 * len(Theory)
+
+
+# each theory's facts, in declaration order: pointed, commutative,
+# multiple_conclusion, oracle, has_lattice_ops, has_fuse
+THEORY_FACTS = {
+    "rl": (False, False, False, None, True, True),
+    "irl": (False, False, False, None, True, True),
+    "icrl": (False, False, False, "lg", True, True),
+    "cicrl": (False, True, False, "ablg", True, True),
+    "sirm": (False, False, False, "lg", False, True),
+    "pseudobci": (False, False, False, "lg", False, False),
+    "sircom": (False, True, False, "ablg", False, True),
+    "bci": (False, True, False, "ablg", False, False),
+    "ca": (True, True, True, "ablg", True, True),
+}
+FACT_NAMES = (
+    "pointed", "commutative", "multiple_conclusion", "oracle", "has_lattice_ops", "has_fuse",
+)
+
+
+def test_each_theory_carries_its_facts_as_plain_attributes():
+    assert [th.value for th in Theory] == list(THEORY_FACTS)
+    for th in Theory:
+        assert tuple(getattr(th, name) for name in FACT_NAMES) == THEORY_FACTS[th.value], th
+        assert Theory(th.value) is th
+        assert hash(th) == object.__hash__(th)
+        assert repr(th) == f"<Theory.{th.name}: {th.value!r}>"
+    # read from the member's own dict, with no descriptor on the class
+    for name in FACT_NAMES:
+        assert inspect.getattr_static(Theory, name, None) is None, name
+        assert all(name in vars(th) for th in Theory), name

@@ -33,6 +33,7 @@ from .terms import (
 )
 
 _DEFAULT_VARS = ("x", "y", "z")
+_LEAF_BIAS = 0.25  # the chance that gen_term stops at a leaf above its depth bound
 
 
 def gen_term(
@@ -42,7 +43,6 @@ def gen_term(
     lattice: bool = True,
     fuse: bool = True,
     pointed: bool = False,
-    leaf_bias: float = 0.25,
 ) -> Term:
     """Random term over the requested signature, depth-bounded."""
     names = _DEFAULT_VARS[:num_vars]
@@ -56,7 +56,7 @@ def gen_term(
         ops += [Meet, Join]
 
     def go(d: int) -> Term:
-        if d <= 0 or rng.random() < leaf_bias:
+        if d <= 0 or rng.random() < _LEAF_BIAS:
             return rng.choice(leaves)
         op = rng.choice(ops)
         return op(go(d - 1), go(d - 1))

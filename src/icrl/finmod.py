@@ -16,6 +16,10 @@ over that lattice's automorphisms; sirmonoid candidates all have e = 0 and
 are compared over the relabelings that fix it.  The first candidate of each
 isomorphism class is kept.
 
+Terms are evaluated on `Lanes`, one valuation per byte of an int, each
+operation one byte translation through its table: `refute` and irl's 4-chain
+bank in `lg_oracle` both run on them; `eval_term` is the scalar reference.
+
 Countermodels found here certify non-derivability: finite integral algebras
 are integrally closed, so any theory between them and the full variety is
 refuted soundly.  No completeness is claimed: the integrally closed variety
@@ -27,11 +31,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .terms import (
     ConstE,
     ConstF,
+    F,
     Fuse,
     Join,
     LDiv,
@@ -45,6 +50,9 @@ from .terms import (
 )
 
 MAX_SIZE = {"rl": 5, "integral": 5, "sirmonoid": 4, "casari": 5}
+
+# The table of each connective.
+_TABLE_OF = {Meet: "meet", Join: "join", Fuse: "fuse", LDiv: "ldiv", RDiv: "rdiv"}
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -77,18 +85,22 @@ class FiniteAlgebra:
             return self.leq[a][b]
         return self.meet[a][b] == a
 
+    @cached_property
+    def byte_tables(self) -> dict[str, bytes]:
+        """Each table the algebra has, as `Lanes` reads it: 256 bytes, T[a][b]
+        at byte a * size + b; "nle" is the table of "not below"."""
+        tables = {key: getattr(self, key) for key in _TABLE_OF.values()}
+        tables["nle"] = [[not self.le(x, y) for y in range(self.size)] for x in range(self.size)]
+        return {
+            key: bytes(v for row in tab for v in row).ljust(256, b"\0")
+            for key, tab in tables.items() if tab is not None
+        }
+
     def is_commutative(self) -> bool:
+        """Fusion equals its transpose or, without one, ldiv that of rdiv."""
         if self.fuse is None:
-            return all(
-                self.ldiv[a][b] == self.rdiv[b][a]
-                for a in range(self.size)
-                for b in range(self.size)
-            )
-        return all(
-            self.fuse[a][b] == self.fuse[b][a]
-            for a in range(self.size)
-            for b in range(self.size)
-        )
+            return self.ldiv == tuple(zip(*self.rdiv))
+        return self.fuse == tuple(zip(*self.fuse))
 
 
 # --- construction helpers ---------------------------------------------------
@@ -128,11 +140,7 @@ def algebra_from_dict(d: dict) -> FiniteAlgebra:
         e=_entry("e", d["e"]),
         f=None if d.get("f") is None else _entry("f", d["f"]),
         leq=unflatten("leq", bit=True),
-        meet=unflatten("meet"),
-        join=unflatten("join"),
-        fuse=unflatten("fuse"),
-        ldiv=unflatten("ldiv"),
-        rdiv=unflatten("rdiv"),
+        **{key: unflatten(key) for key in _TABLE_OF.values()},
     )
 
 
@@ -142,7 +150,7 @@ def algebra_to_dict(a: FiniteAlgebra) -> dict:
         out["f"] = a.f
     if a.leq is not None:
         out["leq"] = [int(v) for row in a.leq for v in row]
-    for key in ("meet", "join", "fuse", "ldiv", "rdiv"):
+    for key in _TABLE_OF.values():
         tab = getattr(a, key)
         if tab is not None:
             out[key] = [v for row in tab for v in row]
@@ -202,7 +210,7 @@ def validate(a: FiniteAlgebra) -> list[str]:
 def _range_ok(a: FiniteAlgebra) -> list[str]:
     out = []
     n = a.size
-    for key in ("meet", "join", "fuse", "ldiv", "rdiv"):
+    for key in _TABLE_OF.values():
         tab = getattr(a, key)
         if tab is None:
             continue
@@ -297,16 +305,63 @@ def eval_term(a: FiniteAlgebra, valuation: dict[str, int], t: Term) -> int:
             raise ValueError("algebra is not pointed")
         return a.f
     l, r = eval_term(a, valuation, t.l), eval_term(a, valuation, t.r)
-    table = {
-        Meet: a.meet,
-        Join: a.join,
-        Fuse: a.fuse,
-        LDiv: a.ldiv,
-        RDiv: a.rdiv,
-    }[type(t)]
+    table = getattr(a, _TABLE_OF[type(t)])
     if table is None:
         raise ValueError(f"operation {type(t).__name__} not in this signature")
     return table[l][r]
+
+
+# The most valuations `refute` asks of an algebra at once.
+MAX_LANES = 1 << 16
+
+
+class Lanes:
+    """An algebra's operations on `width` valuations at once, one per byte
+    ("lane") of a Python int; `leaf(name)` gives a variable's lanes.  An
+    operation takes lanes x and y to the bytes of x * size + y translated
+    through its `FiniteAlgebra.byte_tables` entry: no carry crosses a lane
+    while size * size <= 256, which MAX_SIZE keeps."""
+
+    def __init__(self, a: FiniteAlgebra, width: int, leaf):
+        self.algebra, self.width, self.leaf = a, width, leaf
+        self.size, self.tables = a.size, a.byte_tables
+        self.ones = int.from_bytes(b"\x01" * width, "little")
+
+    def op(self, table: str, x: int, y: int) -> int:
+        pairs = (x * self.size + y).to_bytes(self.width, "little")
+        return int.from_bytes(pairs.translate(self.tables[table]), "little")
+
+    def value(self, t: Term) -> int:
+        cls = type(t)
+        if cls is Var:
+            return self.leaf(t.name)
+        if cls is ConstE or cls is ConstF:
+            return eval_term(self.algebra, {}, t) * self.ones
+        x, y = self.value(t.l), self.value(t.r)
+        if _TABLE_OF[cls] not in self.tables:
+            raise ValueError(f"operation {cls.__name__} not in this signature")
+        return self.op(_TABLE_OF[cls], x, y)
+
+    def product(self, terms: tuple[Term, ...]) -> int:
+        """The lanes of the fusion of terms (e for none), split in halves that a cache reuses."""
+        if len(terms) < 2:
+            return self.value(terms[0]) if terms else self.algebra.e * self.ones
+        half = len(terms) // 2
+        return self.op("fuse", self.product(terms[:half]), self.product(terms[half:]))
+
+    def refuting(self, left: tuple[Term, ...], right: tuple[Term, ...]) -> int:
+        """The lanes where left => right fails, a nonzero byte each: the
+        product of left is not below right's one formula or, with several
+        or none, their sum, a + b = (a \\ f) \\ b, the empty sum f."""
+        product = self.product(left)
+        if len(right) == 1:
+            return self.op("nle", product, self.value(right[0]))
+        if self.algebra.f is None:
+            raise ValueError("multiple-conclusion sequents need a pointed algebra")
+        total = right[-1] if right else F
+        for t in reversed(right[:-1]):
+            total = LDiv(LDiv(t, F), total)
+        return self.op("nle", product, self.value(total))
 
 
 # --- properties ------------------------------------------------------------------
@@ -734,26 +789,6 @@ def enumerate_algebras(size: int, cls: str) -> tuple[FiniteAlgebra, ...]:
 # --- refutation ---------------------------------------------------------------------
 
 
-def _eval_sequent(a: FiniteAlgebra, s: Sequent, valuation: dict[str, int]) -> bool:
-    """Truth of the sequent in the algebra under the valuation."""
-    lv = a.e
-    for t in s.left:
-        lv = a.fuse[lv][eval_term(a, valuation, t)]
-    if len(s.right) == 1:
-        return a.le(lv, eval_term(a, valuation, s.right[0]))
-    # multiple conclusions: sum with a + b = (a -> f) -> b, empty sum = f
-    if a.f is None:
-        raise ValueError("multiple-conclusion sequents need a pointed algebra")
-    if not s.right:
-        rv = a.f
-    else:
-        vals = [eval_term(a, valuation, t) for t in s.right]
-        rv = vals[-1]
-        for v in reversed(vals[:-1]):
-            rv = a.ldiv[a.ldiv[v][a.f]][rv]
-    return a.le(lv, rv)
-
-
 def countermodel_class(th: Theory) -> tuple[str, bool]:
     """The algebra class `refute` searches for the theory, and whether only
     its commutative members count; each such algebra is a model of the
@@ -772,8 +807,10 @@ def refute(
     commutative: bool = False,
 ) -> tuple[FiniteAlgebra, dict[str, int]] | None:
     """Search validated algebras of the class up to the bound for a falsifying
-    valuation.  A hit certifies non-derivability for every theory whose
-    algebras include the class; exhausting the bound proves nothing."""
+    valuation: the first algebra in census order that has one, with its first
+    in itertools.product order, asked on `Lanes` MAX_LANES at most at once.
+    A hit certifies non-derivability for every theory whose algebras include
+    the class; exhausting the bound proves nothing."""
     if cls not in MAX_SIZE:
         raise ValueError(f"unknown class {cls!r} (expected one of {sorted(MAX_SIZE)})")
     if size_bound < 1:
@@ -782,14 +819,33 @@ def refute(
         raise ValueError(f"size bound {size_bound} exceeds the cap for {cls} ({MAX_SIZE[cls]})")
     names = sorted(sequent_variables(s))
     for size in range(1, size_bound + 1):
+        # valuation i in itertools.product order gives each name a digit of
+        # i in base size, at its place; a pass asks `width` of them at once
+        count, width = size ** len(names), 1
+        while width < count and width * size <= MAX_LANES:
+            width *= size
+        places = [size ** (len(names) - 1 - j) for j in range(len(names))]
+        ones = int.from_bytes(b"\x01" * width, "little")
         for alg in enumerate_algebras(size, cls):
             if commutative and not alg.is_commutative():
                 continue
-            for point in itertools.product(range(size), repeat=len(names)):
-                valuation = dict(zip(names, point))
-                if not _eval_sequent(alg, s, valuation):
-                    return alg, valuation
+            for start in range(0, count, width):
+                env = {
+                    n: _column(size, p, width) if p < width else start // p % size * ones
+                    for n, p in zip(names, places)
+                }
+                mask = Lanes(alg, width, env.__getitem__).refuting(s.left, s.right)
+                if mask:
+                    i = start + ((mask & -mask).bit_length() - 1) // 8
+                    return alg, {n: i // p % size for n, p in zip(names, places)}
     return None
+
+
+@lru_cache(maxsize=None)
+def _column(size: int, place: int, width: int) -> int:
+    """The lanes where lane i holds i // place % size."""
+    period = b"".join(bytes([v]) * place for v in range(size))
+    return int.from_bytes(period * (width // len(period)), "little")
 
 
 # --- negative cone --------------------------------------------------------------------
@@ -801,22 +857,16 @@ def negative_cone(a: FiniteAlgebra) -> FiniteAlgebra:
         raise ValueError("negative cone is defined for the lattice signature")
     universe = [x for x in range(a.size) if a.le(x, a.e)]
     idx = {x: i for i, x in enumerate(universe)}
-    m = len(universe)
 
     def sub(table, clip=False):
-        rows = []
-        for x in universe:
-            row = []
-            for y in universe:
-                v = table[x][y]
-                if clip:
-                    v = a.meet[v][a.e]
-                row.append(idx[v])
-            rows.append(tuple(row))
-        return tuple(rows)
+        # a clipped entry is met with e, back into the cone
+        return _tbl(
+            [idx[a.meet[table[x][y]][a.e] if clip else table[x][y]] for y in universe]
+            for x in universe
+        )
 
     return FiniteAlgebra(
-        size=m,
+        size=len(universe),
         e=idx[a.e],
         leq=tuple(tuple(a.le(x, y) for y in universe) for x in universe),
         meet=sub(a.meet),
@@ -829,5 +879,6 @@ def negative_cone(a: FiniteAlgebra) -> FiniteAlgebra:
 
 def clear_caches():
     enumerate_algebras.cache_clear()
+    _column.cache_clear()
     _LATTICE_REPS.clear()
     _AUTOMORPHISMS.clear()

@@ -22,29 +22,20 @@ over words (`_to_jom`), which caches the forms of the proper subterms of
 every query, so a session distributes each formula once, whichever query
 asks; `clear_caches()` here empties that cache.
 
-The package's one lane evaluator lives here too, with two banks of 64
-valuations each, every lane evaluated at once:
-
-* the integer bank: `lanes` evaluates a term in Z or in its negative cone,
-  each variable valued in [-3, 3] (in the cone, -|v|), packed as 16-bit
-  lanes of one int;
-* the chain bank, irl's second: the 4-element chain of `CHAIN_FUSE`, the
-  smallest integral residuated lattice that is not commutative, each
-  variable taking each of its values on 16 lanes; a term is held as three
-  down-set masks, one bit per lane.
-
-`refuting_lanes` asks the integer bank whether a goal fails: whether the
-sum of its left side exceeds that of its right side in Z or the cone.
-`_chain_refutes` asks the chain bank whether the goal's left product fails
-to lie below its one right formula; search asks it, for irl, when no
-integer lane refutes.  Before any normal form, `z_refutes` asks the
-integer bank about the term, once per term (cached); Z is an abelian
-l-group, so a positive value refutes t <= e for both oracles.  It refuses
-a term with f first, from the term's signature bits.  Search prunes its
-goals with the same evaluator (`prover._refuted`), and `icrl oracle` and
-`icrl prove` report the first refuting integer valuation
-(`refuting_valuation`).  `clear_caches()` here and `prover.clear_caches()`
-both empty the banks' caches (`clear_banks`).
+The integer bank lives here too: `lanes` evaluates a term under 64 fixed
+valuations at once, in Z or in its negative cone, each variable valued in
+[-3, 3] (in the cone, -|v|), packed as 16-bit lanes of one int.
+`refuting_lanes` asks it whether a goal's left side sums to more than its
+right side.  Before any normal form, `z_refutes` asks it about the term,
+once per term (cached): Z is an abelian l-group, so a positive value refutes
+t <= e for both oracles.  It refuses a term with f first, from the term's
+signature bits.  irl's second bank is the 4-element chain `CHAIN`, a
+`finmod.FiniteAlgebra` evaluated on finmod's byte lanes, 64 valuations at
+once; `_chain_refutes` asks it whether a goal's left product is not below
+its one right formula.  Search prunes its goals with both banks
+(`prover._refuted`), and `icrl oracle` and `icrl prove` report the first
+refuting integer valuation (`refuting_valuation`).  `clear_caches()` here
+and `prover.clear_caches()` both empty the banks' caches (`clear_banks`).
 """
 
 from __future__ import annotations
@@ -54,6 +45,7 @@ import zlib
 from functools import lru_cache
 from itertools import groupby
 
+from . import finmod
 from .terms import (
     HAS_F, ConstE, ConstF, E, Fuse, Join, LDiv, Meet, RDiv, Sequent, Term, Var, product_term,
     variables,
@@ -380,75 +372,31 @@ def refuting_valuation(goal: Goal, cone: bool = False) -> dict[str, int] | None:
 # column b): the smallest integral residuated lattice that is not commutative,
 # so it refutes goals that fail only for lack of commutativity, which the
 # cone cannot.  Every finite integral residuated lattice is a model of irl.
+# Only the fusion and the order are stated; finmod derives the rest.
 CHAIN_FUSE = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 2, 2), (0, 1, 2, 3))
-_CHAIN_TOP = len(CHAIN_FUSE) - 1  # e
-_CHAIN_E = (0, 0, 0)
+_CHAIN_ORDER = tuple(tuple(a <= b for b in range(4)) for a in range(4))
+CHAIN = finmod._finish(4, 3, _CHAIN_ORDER, CHAIN_FUSE, *finmod._lattice_tables(4, _CHAIN_ORDER))
 
 
 @lru_cache(maxsize=4096)
-def _chain_var(name: str) -> tuple[int, int, int]:
-    """A variable's down-set masks: each value of the chain on 16 lanes, in
-    an order shuffled from the crc32 of the name's bytes, as `_bank_values`."""
-    values = [i * (_CHAIN_TOP + 1) // _LANES for i in range(_LANES)]
+def _chain_var(name: str) -> int:
+    """A variable's lanes: each value of the chain on 16 of the 64, in an
+    order shuffled from the crc32 of the name's bytes, as `_bank_values`."""
+    values = [i * CHAIN.size // _LANES for i in range(_LANES)]
     random.Random(zlib.crc32(name.encode("utf-8"))).shuffle(values)
-    return tuple(sum(1 << i for i, v in enumerate(values) if v <= k) for k in range(_CHAIN_TOP))
+    return int.from_bytes(bytes(values), "little")
 
 
-@lru_cache(maxsize=65536)
-def _chain_lanes(t: Term) -> tuple[int, int, int]:
-    """t's value in the chain under each of the bank's 64 valuations, as its
-    down-set masks D_0, D_1, D_2: bit i of D_k is set when the value on lane
-    i is at most k.  f = e, the top.
-
-    Meet is OR and join AND.  Fusion is read off CHAIN_FUSE's maximal pairs
-    (a, b) with a * b <= k: D_k(x * y) is the OR of X_a & Y_b over them
-    (X_3 is every lane).  The residuals are read off the same table: x \\ y
-    exceeds k exactly where x * (k+1) <= y, and x / y where (k+1) * y <= x."""
-    cls = type(t)
-    if cls is Var:
-        return _chain_var(t.name)
-    if cls is ConstE or cls is ConstF:
-        return _CHAIN_E
-    x, y = _chain_lanes(t.l), _chain_lanes(t.r)
-    if cls is Fuse:
-        return _chain_fuse(x, y)
-    (x0, x1, x2), (y0, y1, y2) = x, y
-    if cls is Meet:
-        return x0 | y0, x1 | y1, x2 | y2
-    if cls is Join:
-        return x0 & y0, x1 & y1, x2 & y2
-    if cls is LDiv:  # x \\ y <= k unless x * (k+1) <= y: x >= 2 > y = 0, x >= 2 > y, x > y
-        return y0 & ~x1, y1 & ~x1, (y0 & ~x0) | (y1 & ~x1) | (y2 & ~x2)
-    # x / y <= k unless (k+1) * y <= x: y = 3 > x = 0, y = 1 > x = 0 or y >= 2 > x, y > x
-    return x0 & ~y2, (x0 & y1 & ~y0) | (x1 & ~y1), (x0 & ~y0) | (x1 & ~y1) | (x2 & ~y2)
-
-
-def _chain_fuse(x, y):
-    """The masks of x * y: D_0 from the maximal pairs (0, 3), (3, 0) and
-    (1, 2), D_1 from (1, 3) and (3, 1), D_2 from (2, 3) and (3, 2)."""
-    x0, x1, x2 = x
-    y0, y1, y2 = y
-    return x0 | y0 | (x1 & y2), x1 | y1, x2 | y2
-
-
-@lru_cache(maxsize=65536)
-def _chain_product(terms: tuple[Term, ...]) -> tuple[int, int, int]:
-    """The down-set masks of the product of terms; the empty product is e."""
-    out = _CHAIN_E
-    for t in terms:
-        out = _chain_fuse(out, _chain_lanes(t))
-    return out
+# the chain's 64 valuations, each term's and product's lanes kept for the session
+_CHAIN_LANES = finmod.Lanes(CHAIN, _LANES, _chain_var)
+_CHAIN_LANES.value = lru_cache(maxsize=65536)(_CHAIN_LANES.value)
+_CHAIN_LANES.product = lru_cache(maxsize=65536)(_CHAIN_LANES.product)
 
 
 def _chain_refutes(goal: Goal) -> int:
-    """The lanes, one bit each, where the product of L is not below R's one
-    formula: R's value is at most some k that the product exceeds."""
-    L, R = goal
-    if len(R) != 1:
-        return 0
-    p0, p1, p2 = _chain_product(L)
-    r0, r1, r2 = _chain_lanes(R[0])
-    return (r0 & ~p0) | (r1 & ~p1) | (r2 & ~p2)
+    """The lanes, a nonzero byte each, where the product of L is not below
+    R's one formula in the chain; 0 for any other number of formulas."""
+    return _CHAIN_LANES.refuting(*goal) if len(goal[1]) == 1 else 0
 
 
 @lru_cache(maxsize=65536)
@@ -500,8 +448,8 @@ def lg_valid_sequent(s: Sequent) -> bool:
 def clear_banks():
     """Empty the banks' caches, which hold terms."""
     lanes.cache_clear()
-    _chain_lanes.cache_clear()
-    _chain_product.cache_clear()
+    _CHAIN_LANES.value.cache_clear()
+    _CHAIN_LANES.product.cache_clear()
 
 
 def clear_caches():

@@ -4,10 +4,10 @@ Search is exhaustive backtracking over the backward-readable rule instances,
 memoized per goal with failure caching for the length of one search call;
 termination needs no loop check because every premise of every rule has
 strictly smaller total complexity (weakening steps must delete a non-empty
-block).  A goal that one of 64 fixed integer valuations refutes fails at
-once, before any rule is tried.  They are evaluated by lg_oracle's one lane
-evaluator, in Z or, for irl, in the negative cone of Z and then in a
-4-element chain; `clear_caches()` here empties its caches, as
+block).  A goal that a valuation of lg_oracle's banks refutes fails at
+once, before any rule is tried: 64 integer valuations in Z or, for irl, in
+the negative cone of Z and then 64 in a 4-element chain, on finmod's byte
+lanes; `clear_caches()` here empties both banks' caches, as
 `lg_oracle.clear_caches()` does.
 
 Two formulations of the oracle-weakening rule are implemented:

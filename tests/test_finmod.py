@@ -5,7 +5,7 @@ import random
 import pytest
 
 from icrl import finmod
-from icrl.corpus import gen_term
+from icrl.corpus import gen_sequent, gen_term
 from icrl.finmod import (
     FiniteAlgebra,
     algebra_from_dict,
@@ -18,8 +18,10 @@ from icrl.finmod import (
     refute,
     validate,
 )
-from icrl.terms import E, LDiv, Meet, Sequent, Theory, Var, parse_sequent, parse_term
-from tests_helpers_algebras import canonical_form, lattices, two_chain_dict
+from icrl.terms import (
+    E, Join, LDiv, Meet, Sequent, Theory, Var, parse_sequent, parse_term, variables,
+)
+from tests_helpers_algebras import canonical_form, lattices, reference_refute, two_chain_dict
 
 x, y = Var("x"), Var("y")
 
@@ -359,3 +361,112 @@ def test_sirmonoid_enumeration_cap():
     assert finmod.MAX_SIZE["sirmonoid"] == 4
     with pytest.raises(ValueError, match="out of range"):
         enumerate_algebras(5, "sirmonoid")
+
+
+# --- lanes against the scalar reference ----------------------------------------
+
+
+# each countermodel class with a theory whose sequents have its signature
+_THEORY_OF_CLASS = {
+    "rl": Theory.RL, "integral": Theory.ICRL, "sirmonoid": Theory.SIRM, "casari": Theory.CA,
+}
+
+
+@pytest.mark.parametrize("cls", sorted(finmod.MAX_SIZE))
+def test_lanes_equal_eval_term_on_every_lane(cls):
+    """1,500 seeded terms of the class's signature, each on the next algebra
+    of the class up to size 4 in turn; a term's lanes hold every valuation
+    of its variables."""
+    th = _THEORY_OF_CLASS[cls]
+    algebras = [a for n in range(1, 5) for a in enumerate_algebras(n, cls)]
+    rng = random.Random(f"lanes-{cls}")
+    for i in range(1500):
+        a = algebras[i % len(algebras)]
+        t = gen_term(rng, num_vars=rng.randint(1, 3), depth=rng.randint(1, 5),
+                     lattice=th.has_lattice_ops, pointed=th.pointed)
+        names = sorted(variables(t))
+        points = list(itertools.product(range(a.size), repeat=len(names)))
+        columns = [int.from_bytes(bytes(column), "little") for column in zip(*points)]
+        lanes = finmod.Lanes(a, len(points), dict(zip(names, columns)).__getitem__).value(t)
+        expected = [eval_term(a, dict(zip(names, p)), t) for p in points]
+        assert list(lanes.to_bytes(len(points), "little")) == expected, (cls, a, t)
+
+
+def _seeded_sequents(th, count):
+    rng = random.Random(f"refute-{th.value}")
+    for _ in range(count):
+        yield gen_sequent(
+            rng, num_vars=rng.randint(1, 3), depth=rng.randint(1, 3), max_left=3,
+            lattice=th.has_lattice_ops, fuse=th.has_fuse, pointed=th.pointed,
+            max_right=2 if th.multiple_conclusion else 1,
+        )
+
+
+def test_refute_equals_the_scalar_reference_on_seeded_sequents():
+    """60 seeded sequents per theory, each refuted in the theory's class at
+    bounds 1 to 4: the same algebra and valuation, or None, as the scalar loop."""
+    answers = []
+    for th in Theory:
+        cls, commutative = countermodel_class(th)
+        for s in _seeded_sequents(th, 60):
+            for bound in range(1, 5):
+                hit = refute(s, bound, cls, commutative)
+                assert hit == reference_refute(s, bound, cls, commutative), (th, s, bound)
+                answers.append((th, s, hit))
+    assert {th for th, _, hit in answers if hit is None} == set(Theory)
+    assert {th for th, _, hit in answers if hit is not None} == set(Theory)
+    sums = [s for th, s, hit in answers if th is Theory.CA and hit is not None]
+    assert any(len(s.right) == 2 for s in sums) and any(not s.right for s in sums)
+    assert any(not s.left for th, s, _ in answers)
+
+
+@pytest.mark.parametrize("max_lanes", [1, 2, 5, 27])
+def test_refute_over_several_passes_equals_the_scalar_reference(monkeypatch, max_lanes):
+    """With fewer lanes a pass, the leading variables are looped over."""
+    monkeypatch.setattr(finmod, "MAX_LANES", max_lanes)
+    for th in (Theory.IRL, Theory.SIRM, Theory.CA):
+        cls, commutative = countermodel_class(th)
+        for s in _seeded_sequents(th, 30):
+            assert refute(s, 3, cls, commutative) == reference_refute(s, 3, cls, commutative), s
+
+
+def test_refute_finds_a_countermodel_past_the_first_pass(monkeypatch):
+    # 17 variables on the 2-chain: 2**16 lanes a pass, and a = 0 in the first
+    names = [chr(c) for c in range(ord("a"), ord("r")) if chr(c) != "e"] + ["r"]
+    assert len(names) == 17 and 2 ** 16 == finmod.MAX_LANES
+    a, b, *rest = (Var(n) for n in names)
+    conj = b
+    for v in rest:
+        conj = Meet(conj, v)
+    s = Sequent((a,), (Join(b, conj),))  # a => b, mentioning every variable
+    widths = []
+
+    class Recording(finmod.Lanes):
+        def __init__(self, alg, width, leaf):
+            widths.append(width)
+            super().__init__(alg, width, leaf)
+
+    monkeypatch.setattr(finmod, "Lanes", Recording)
+    hit = refute(s, 2, "integral")
+    assert widths == [1, finmod.MAX_LANES, finmod.MAX_LANES]  # the 1-element algebra, then two passes
+    assert hit == reference_refute(s, 2, "integral")
+    assert hit[1] == {n: int(n == "a") for n in names}
+
+
+def test_refute_takes_a_long_left_side():
+    # the left product is split in halves, so it recurses 11 deep, not 1,500
+    for s in (Sequent((x,) * 1500, (y,)), Sequent((x,) * 1500, (x,))):
+        for cls in ("rl", "integral"):
+            assert refute(s, 3, cls) == reference_refute(s, 3, cls), (s, cls)
+
+
+@pytest.mark.parametrize("text, theory, cls, message", [
+    ("x /\\ y => x", Theory.ICRL, "sirmonoid", "operation Meet not in this signature"),
+    ("x => f", Theory.CA, "integral", "algebra is not pointed"),
+    ("x => x, x", Theory.CA, "integral", "multiple-conclusion sequents need a pointed algebra"),
+])
+def test_refute_raises_what_the_scalar_loop_raises(text, theory, cls, message):
+    s = parse_sequent(text, theory)
+    for run in (refute, reference_refute):
+        with pytest.raises(ValueError, match=message):
+            run(s, 2, cls)

@@ -2,8 +2,8 @@
 bank refutes, in Z or, for irl, in its negative cone and then in the
 4-element chain.  These tests do not trust the search: they compare it with
 the unpruned search (and irl's cone+chain search with its cone-only one),
-check the semantics on every golden proof, and check both lane evaluators
-lane by lane against scalar evaluation."""
+check the semantics on every golden proof, and check the integer lanes and
+the chain's byte lanes lane by lane against scalar evaluation."""
 
 import json
 import random
@@ -169,15 +169,17 @@ def _chain_algebra() -> finmod.FiniteAlgebra:
 
 def test_the_chain_is_the_smallest_non_commutative_integral_algebra():
     chain = _chain_algebra()
+    assert lg_oracle.CHAIN == chain
     assert finmod.validate(chain) == []
     assert all(chain.le(a, chain.e) for a in range(4)) and not chain.is_commutative()
     assert chain in finmod.enumerate_algebras(4, "integral")
     assert all(a.is_commutative() for n in (1, 2, 3) for a in finmod.enumerate_algebras(n, "integral"))
 
 
-def _chain_values(masks):
-    """Each lane's value in the chain, from a term's down-set masks."""
-    return [sum(1 - (d >> i & 1) for d in masks) for i in range(lg_oracle._LANES)]
+def _chain_values(lanes):
+    """Each lane's value in the chain, from a term's byte lanes; to_bytes
+    raises if a carry spilled past the last lane."""
+    return list(lanes.to_bytes(lg_oracle._LANES, "little"))
 
 
 def test_chain_lanes_match_the_algebra_on_every_lane():
@@ -185,12 +187,11 @@ def test_chain_lanes_match_the_algebra_on_every_lane():
     rng = random.Random("pruning-chain")
     for _ in range(1500):
         t = gen_term(rng, num_vars=rng.randint(1, 3), depth=rng.randint(1, 6), pointed=False)
-        masks = lg_oracle._chain_lanes(t)
-        assert masks[0] & ~masks[1] == 0 and masks[1] & ~masks[2] == 0, "down-sets are nested"
         names = sorted(variables(t))
         columns = [_chain_values(lg_oracle._chain_var(n)) for n in names]
         valuations = [dict(zip(names, lane)) for lane in zip(*columns)] or [{}] * lg_oracle._LANES
-        assert _chain_values(masks) == [finmod.eval_term(chain, v, t) for v in valuations], t
+        values = _chain_values(lg_oracle._CHAIN_LANES.value(t))
+        assert values == [finmod.eval_term(chain, v, t) for v in valuations], t
 
 
 def test_each_variable_takes_each_chain_value_on_16_lanes():
@@ -207,6 +208,14 @@ def test_the_chain_refutes_what_the_cone_cannot():
     assert lg_oracle.refuting_valuation(goal, True) is None  # the cone does not refute it
     assert lg_oracle._chain_refutes(goal)
     assert not lg_oracle._chain_refutes(((Fuse(x, y),), (Join(Fuse(y, x), Fuse(x, y)),)))
+
+
+def test_clear_banks_empties_the_chains_cache():
+    y = Var("y")
+    assert lg_oracle._chain_refutes(((Fuse(x, y),), (Fuse(y, x),)))
+    assert lg_oracle._CHAIN_LANES.value.cache_info().currsize
+    lg_oracle.clear_banks()
+    assert lg_oracle._CHAIN_LANES.value.cache_info().currsize == 0
 
 
 def test_the_chain_changes_no_irl_verdict_or_proof(monkeypatch):

@@ -1,10 +1,13 @@
-"""Shared fixture tables for CLI and finmod tests, and the reference census:
-finmod's enumerator as it was before pruning, kept to test the pruned one."""
+"""Shared fixture tables for CLI and finmod tests, and two references:
+finmod's enumerator as it was before pruning, kept to test the pruned one,
+and `refute` as it was before lanes, one valuation at a time through
+`finmod.eval_term`, kept to test the lane one."""
 
 import itertools
 
 from icrl import finmod
-from icrl.finmod import FiniteAlgebra, _tbl
+from icrl.finmod import FiniteAlgebra, _tbl, eval_term
+from icrl.terms import Sequent, sequent_variables
 
 
 def two_chain_dict():
@@ -164,3 +167,38 @@ def reference_algebras(n: int, cls: str) -> tuple[FiniteAlgebra, ...]:
             seen.add(key)
             out.append(alg)
     return tuple(out)
+
+
+def eval_sequent(a: FiniteAlgebra, s: Sequent, valuation: dict[str, int]) -> bool:
+    """Truth of the sequent in the algebra under the valuation."""
+    lv = a.e
+    for t in s.left:
+        lv = a.fuse[lv][eval_term(a, valuation, t)]
+    if len(s.right) == 1:
+        return a.le(lv, eval_term(a, valuation, s.right[0]))
+    # multiple conclusions: sum with a + b = (a -> f) -> b, empty sum = f
+    if a.f is None:
+        raise ValueError("multiple-conclusion sequents need a pointed algebra")
+    if not s.right:
+        rv = a.f
+    else:
+        vals = [eval_term(a, valuation, t) for t in s.right]
+        rv = vals[-1]
+        for v in reversed(vals[:-1]):
+            rv = a.ldiv[a.ldiv[v][a.f]][rv]
+    return a.le(lv, rv)
+
+
+def reference_refute(s: Sequent, size_bound: int, cls: str, commutative: bool = False):
+    """The first algebra of the class up to the bound, in census order, with
+    its first valuation in itertools.product order that falsifies s, or None."""
+    names = sorted(sequent_variables(s))
+    for size in range(1, size_bound + 1):
+        for alg in finmod.enumerate_algebras(size, cls):
+            if commutative and not alg.is_commutative():
+                continue
+            for point in itertools.product(range(size), repeat=len(names)):
+                valuation = dict(zip(names, point))
+                if not eval_sequent(alg, s, valuation):
+                    return alg, valuation
+    return None
